@@ -47,7 +47,6 @@ import (
 	"tvsched"
 	"tvsched/internal/campaign"
 	"tvsched/internal/experiments"
-	"tvsched/internal/obs"
 	"tvsched/internal/store"
 )
 
@@ -143,7 +142,9 @@ func main() {
 
 	runner := &campaign.LocalRunner{
 		Checkpoint: plan.Checkpoint(),
-		Render:     renderReport,
+		Render: func(cfg tvsched.Config, res tvsched.Result) ([]byte, error) {
+			return experiments.RunReportJSON("tvplan", cfg, res)
+		},
 	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, 0)
@@ -226,26 +227,6 @@ func readSpec(path string) (campaign.Spec, error) {
 		return campaign.Spec{}, fmt.Errorf("bad campaign spec: %w", err)
 	}
 	return spec, nil
-}
-
-// renderReport renders one finished cell as the repo's standard
-// run-report/v1 artifact, compact so it embeds verbatim in NDJSON lines.
-// Every field derives from the deterministic result: the bytes are a pure
-// function of the config.
-func renderReport(cfg tvsched.Config, res tvsched.Result) ([]byte, error) {
-	st := res.Stats
-	return json.Marshal(&obs.RunReport{
-		Schema:       obs.RunReportSchema,
-		Tool:         "tvplan",
-		Benchmark:    cfg.Benchmark,
-		Scheme:       cfg.Scheme.String(),
-		VDD:          cfg.VDD,
-		Seed:         cfg.Seed,
-		Instructions: st.Committed,
-		Cycles:       st.Cycles,
-		IPC:          st.IPC(),
-		TEP:          experiments.TEPAccuracyFrom(&st),
-	})
 }
 
 func writeSummary(path string, s *campaign.Summary) error {

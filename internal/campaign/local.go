@@ -2,9 +2,11 @@ package campaign
 
 import (
 	"context"
+	"math"
 	"sync"
 
 	"tvsched"
+	"tvsched/internal/resolve"
 	"tvsched/internal/store"
 )
 
@@ -15,17 +17,13 @@ import (
 type ReportFunc func(cfg tvsched.Config, res tvsched.Result) ([]byte, error)
 
 // LocalRunner executes cells in-process — the offline engine behind
-// cmd/tvplan, mirroring the serving layer's sharing tiers without a server:
-//
-//   - per-WarmKey snapshot singleflight: the first cell of a warm-prefix
-//     group pays one neutral warmup on a donor session and every cell of the
-//     group (the leader included) restores the snapshot — provenance
-//     "restored", a pure function of the plan;
-//   - per-digest result dedup: concurrent duplicates collapse onto one
-//     simulation ("shared"), later duplicates reuse the bytes ("hit");
-//   - an optional persistent result store consulted before simulating and
-//     written back after, so a re-run campaign (or one sharing a store with
-//     prior campaigns) skips every already-computed cell as "hit".
+// cmd/tvplan — through the same resolver the serving layer configures
+// (internal/resolve): a result flight keyed by digest, then the optional
+// persistent store, then resolve.Simulate with a snapshot flight keyed by
+// WarmKey. Every group's first cell leads one donor warmup and every cell of
+// the group, the leader included, restores it ("restored"); a concurrent
+// duplicate joins the running lead ("shared"), a later one reuses its bytes
+// ("hit"), and so does a cell the store already holds.
 type LocalRunner struct {
 	// Checkpoint enables the warm-snapshot sharing tier; off, every cell
 	// warms up from scratch ("cold"). Results are byte-identical either way.
@@ -37,146 +35,55 @@ type LocalRunner struct {
 	// Render is the report renderer (required).
 	Render ReportFunc
 
-	mu      sync.Mutex
-	snaps   map[string]*localCall // WarmKey → snapshot bytes
-	results map[string]*localCall // digest → rendered report bytes
-}
-
-// localCall is one in-flight (then settled) production, singleflighted.
-type localCall struct {
-	done chan struct{}
-	data []byte
-	err  error
+	once    sync.Once
+	results *resolve.Flight // digest → rendered report bytes
+	snaps   *resolve.Flight // WarmKey → neutral warm-state bytes
 }
 
 // Run executes one cell.
 func (r *LocalRunner) Run(ctx context.Context, cell Cell) CellResult {
+	r.once.Do(func() {
+		// Both memos keep everything for the runner's lifetime: campaign
+		// order puts the cells of one warm group a stride of #seeds apart,
+		// so any bound below the group count would re-run warmups.
+		r.results = &resolve.Flight{Memo: resolve.NewLRU(math.MaxInt)}
+		r.snaps = &resolve.Flight{Memo: resolve.NewLRU(math.MaxInt)}
+	})
 	digest := cell.Config.Digest()
-	r.mu.Lock()
-	if r.results == nil {
-		r.results = make(map[string]*localCall)
-	}
-	if c, ok := r.results[digest]; ok {
-		r.mu.Unlock()
-		select {
-		case <-c.done:
-		case <-ctx.Done():
-			return CellResult{Class: ClassError, Cache: "error", Err: ctx.Err()}
-		}
-		if c.err != nil {
-			return CellResult{Class: ClassError, Cache: "error", Err: c.err}
-		}
-		// Settled before we looked: a warm "hit"; still in flight when we
-		// arrived would be "shared" — indistinguishable here and equally
-		// free, so the settled label is used for both.
-		return CellResult{Class: ClassHit, Cache: "hit", Body: c.data}
-	}
-	c := &localCall{done: make(chan struct{})}
-	r.results[digest] = c
-	r.mu.Unlock()
-
-	class, body, err := r.lead(ctx, cell, digest)
-	c.data, c.err = body, err
-	close(c.done)
+	body, prov, err := r.results.Do(ctx, digest, nil, func(ctx context.Context) ([]byte, resolve.Source, error) {
+		return r.lead(ctx, cell.Config, digest)
+	})
+	class := ClassOf(prov, err)
 	if err != nil {
-		// Failed leads are retryable by a later duplicate (context errors
-		// especially); drop the settled failure so they re-lead.
-		r.mu.Lock()
-		delete(r.results, digest)
-		r.mu.Unlock()
-		return CellResult{Class: ClassError, Cache: "error", Err: err}
+		return CellResult{Class: class, Cache: "error", Err: err}
 	}
 	return CellResult{Class: class, Cache: class.String(), Body: body}
 }
 
 // lead produces the bytes for one digest: store read-through, then a
-// simulation (restoring the warm-prefix snapshot when checkpointing).
-func (r *LocalRunner) lead(ctx context.Context, cell Cell, digest string) (Class, []byte, error) {
+// simulation, written back to the store.
+func (r *LocalRunner) lead(ctx context.Context, cfg tvsched.Config, digest string) ([]byte, resolve.Source, error) {
 	if r.Store != nil {
 		if b, ok, _ := r.Store.Get(digest); ok {
-			return ClassHit, b, nil
+			return b, resolve.Store, nil
 		}
 	}
-	cfg := cell.Config
-	sess, err := tvsched.NewSession(cfg)
+	var snaps *resolve.Flight
+	if r.Checkpoint {
+		snaps = r.snaps
+	}
+	res, src, err := resolve.Simulate(ctx, cfg, snaps)
 	if err != nil {
-		return ClassError, nil, err
-	}
-	class := ClassCold
-	warmed := false
-	if r.Checkpoint && cfg.Warmup > 0 {
-		key := cfg.WarmKey()
-		if data, err := r.warmSnapshot(ctx, cfg, key); err == nil {
-			if err := sess.Restore(&tvsched.Snapshot{Key: key, Data: data}); err == nil {
-				class, warmed = ClassRestored, true
-			} else if sess, err = tvsched.NewSession(cfg); err != nil {
-				return ClassError, nil, err
-			}
-		} else if ctx.Err() != nil {
-			return ClassError, nil, err
-		}
-		// Any other snapshot failure falls back to a cold warmup: checkpoints
-		// are an optimization, never a correctness dependency.
-	}
-	if !warmed {
-		if err := sess.WarmupNeutral(ctx); err != nil {
-			return ClassError, nil, err
-		}
-	}
-	res, err := sess.Run(ctx, tvsched.RunOpts{})
-	if err != nil {
-		return ClassError, nil, err
+		return nil, src, err
 	}
 	body, err := r.Render(cfg, res)
 	if err != nil {
-		return ClassError, nil, err
+		return nil, src, err
 	}
 	if r.Store != nil {
 		// Best effort: a failed write-back costs a recomputation later,
 		// never a wrong answer.
 		_ = r.Store.Put(digest, body)
 	}
-	return class, body, nil
-}
-
-// warmSnapshot returns the neutral warm-state bytes for key, singleflighted:
-// the first cell of a warm-prefix group leads a donor warmup, every other
-// cell waits and restores the same bytes.
-func (r *LocalRunner) warmSnapshot(ctx context.Context, cfg tvsched.Config, key string) ([]byte, error) {
-	r.mu.Lock()
-	if r.snaps == nil {
-		r.snaps = make(map[string]*localCall)
-	}
-	if c, ok := r.snaps[key]; ok {
-		r.mu.Unlock()
-		select {
-		case <-c.done:
-			return c.data, c.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	c := &localCall{done: make(chan struct{})}
-	r.snaps[key] = c
-	r.mu.Unlock()
-
-	donor, err := tvsched.NewSession(cfg)
-	if err == nil {
-		if err = donor.WarmupNeutral(ctx); err == nil {
-			var snap *tvsched.Snapshot
-			if snap, err = donor.Snapshot(); err == nil {
-				c.data = snap.Data
-			}
-		}
-	}
-	c.err = err
-	if err != nil {
-		// Like the result map: a failed production (a canceled context most
-		// of all) must not poison every later cell of the group.
-		r.mu.Lock()
-		delete(r.snaps, key)
-		r.mu.Unlock()
-	}
-	close(c.done)
-	return c.data, c.err
+	return body, src, nil
 }

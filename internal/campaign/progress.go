@@ -3,6 +3,8 @@ package campaign
 import (
 	"sync"
 	"time"
+
+	"tvsched/internal/resolve"
 )
 
 // ProgressSchema tags the heartbeat records a progress-enabled campaign or
@@ -38,6 +40,27 @@ func (c Class) String() string {
 		return "unknown"
 	}
 	return classNames[c]
+}
+
+// ClassOf folds one resolution into its class. A failure is an error
+// whatever its source; bytes from the cluster are stolen (another node paid
+// for the simulation); a degraded run counts by how it warmed up.
+func ClassOf(p resolve.Provenance, err error) Class {
+	switch {
+	case err != nil:
+		return ClassError
+	case p.Shared:
+		return ClassShared
+	}
+	switch p.Src {
+	case resolve.Memory, resolve.Store:
+		return ClassHit
+	case resolve.Peer, resolve.Forward:
+		return ClassStolen
+	case resolve.Restored, resolve.DegradedRestored:
+		return ClassRestored
+	}
+	return ClassCold
 }
 
 // ProgressLine is one live-campaign heartbeat: cumulative cell accounting by

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"encoding/json"
+
+	"tvsched"
 	"tvsched/internal/core"
 	"tvsched/internal/fault"
 	"tvsched/internal/obs"
@@ -9,7 +12,8 @@ import (
 
 // This file bridges the experiment engine and the obs.RunReport artifact:
 // deriving a CPI-stack configuration from a machine configuration, and
-// summarizing a suite into the per-scheme overhead rows a report carries.
+// summarizing a suite into the per-scheme overhead rows a report carries,
+// and rendering one finished run as a report.
 
 // CPIStackConfigFor derives the cycle-accounting parameters from a machine
 // configuration: issue width, the fetch-to-execute mispredict loop
@@ -94,4 +98,24 @@ func TEPAccuracyFrom(st *pipeline.Stats) *obs.TEPAccuracy {
 		acc.Precision = float64(st.PredictedFaults) / float64(pos)
 	}
 	return acc
+}
+
+// RunReportJSON renders one finished run as a run-report/v1 artifact tagged
+// with the producing tool, in compact JSON so the bytes embed verbatim in
+// NDJSON lines. Every field derives from the deterministic result: the bytes
+// are a pure function of the tool and the config.
+func RunReportJSON(tool string, cfg tvsched.Config, res tvsched.Result) ([]byte, error) {
+	st := res.Stats
+	return json.Marshal(&obs.RunReport{
+		Schema:       obs.RunReportSchema,
+		Tool:         tool,
+		Benchmark:    cfg.Benchmark,
+		Scheme:       cfg.Scheme.String(),
+		VDD:          cfg.VDD,
+		Seed:         cfg.Seed,
+		Instructions: st.Committed,
+		Cycles:       st.Cycles,
+		IPC:          st.IPC(),
+		TEP:          TEPAccuracyFrom(&st),
+	})
 }

@@ -192,7 +192,7 @@ func (s *Server) runCampaign(c *campaignRun) {
 		if n := stats.Errors(); n > 0 {
 			errMsg = fmt.Sprintf("%d of %d cells failed", n, stats.Total)
 		}
-	case isCtxErr(err):
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		state, event = campaignSuspended, obs.CampaignSuspended
 		errMsg = err.Error()
 	default:

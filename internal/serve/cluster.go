@@ -26,33 +26,12 @@ import (
 
 // SourceHeader names where a /v1/run answer's bytes came from: "memory",
 // "store", "peer" (owner read it through a peer's cache), "forward" (a
-// non-owner routed the run to its owner), or "compute" (a simulation ran
-// here). X-Tvsched-Cache stays the coarse hit/shared/miss outcome; this
-// header carries the cluster-era refinement tooling like tvload breaks
-// steals out with.
+// non-owner routed the run to its owner), "compute" (a simulation ran here)
+// or "compute-degraded" (it ran here for an unreachable owner) — see
+// resolve.Provenance.Header. X-Tvsched-Cache stays the coarse
+// hit/shared/miss outcome; this header carries the cluster-era refinement
+// tooling like tvload breaks steals out with.
 const SourceHeader = "X-Tvsched-Source"
-
-// source is where an answer's bytes were obtained.
-type source int
-
-const (
-	srcNone            source = iota // no bytes (errors, rejections)
-	srcCompute                       // simulated on this node
-	srcMemory                        // in-memory LRU hit
-	srcStore                         // persistent store hit
-	srcPeer                          // read through a peer's cache (owner path)
-	srcForward                       // forwarded to the digest's owner
-	srcComputeDegraded               // simulated here because the owner was unreachable
-)
-
-var sourceNames = [...]string{"", "compute", "memory", "store", "peer", "forward", "compute-degraded"}
-
-func (s source) String() string {
-	if s < 0 || int(s) >= len(sourceNames) {
-		return "unknown"
-	}
-	return sourceNames[s]
-}
 
 // SetPeers joins (or re-shapes) the cluster: this node takes nodeID as its
 // hashing identity and routes by rendezvous hashing over itself plus peers.
@@ -238,16 +217,13 @@ func (s *Server) storePut(digest string, body []byte) {
 // result-path store counters (peer probes and anti-entropy drive this
 // constantly; counting them as hits/misses would drown the serving signal).
 func (s *Server) lookupLocal(digest string) ([]byte, bool) {
-	s.mu.Lock()
-	b, ok := s.cache.get(digest)
-	s.mu.Unlock()
-	if ok {
+	if b, ok := s.results.Memo.Get(digest); ok {
 		return b, true
 	}
 	if s.store == nil {
 		return nil, false
 	}
-	b, ok, _ = s.store.Get(digest)
+	b, ok, _ := s.store.Get(digest)
 	return b, ok
 }
 
@@ -284,9 +260,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("%w: empty or unreadable replica body", ErrBadRequest))
 			return
 		}
-		s.mu.Lock()
-		s.cache.put(digest, body)
-		s.mu.Unlock()
+		s.results.Memo.Put(digest, body)
 		s.storePut(digest, body)
 		s.log.LogAttrs(r.Context(), slog.LevelInfo, "replica accepted",
 			slog.String("digest", digest),
@@ -396,9 +370,7 @@ func (s *Server) AntiEntropySweep(ctx context.Context) (checked, diverged, repai
 // localDigests samples up to max digests this node holds, memory first
 // (hottest results are the likeliest to be replicated), then the store.
 func (s *Server) localDigests(max int) []string {
-	s.mu.Lock()
-	keys := s.cache.keys()
-	s.mu.Unlock()
+	keys := s.results.Memo.Keys()
 	seen := make(map[string]bool, len(keys))
 	out := make([]string, 0, max)
 	for _, k := range keys {

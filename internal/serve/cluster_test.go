@@ -182,7 +182,7 @@ func TestAntiEntropySweep(t *testing.T) {
 	a, b := newTestCluster(t, nil, nil)
 	inject := func(n clusterNode, digest string, body []byte) {
 		n.srv.mu.Lock()
-		n.srv.cache.put(digest, body)
+		n.srv.results.Memo.Put(digest, body)
 		n.srv.mu.Unlock()
 	}
 	same := strings.Repeat("aa", 32)

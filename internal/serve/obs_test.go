@@ -15,19 +15,20 @@ import (
 
 	"tvsched"
 	"tvsched/internal/campaign"
+	"tvsched/internal/resolve"
 )
 
 // slowRunner fakes a simulation taking d of wall time, so heartbeat and
 // latency behaviour is observable without a real pipeline.
 func slowRunner(d time.Duration) Runner {
-	return func(ctx context.Context, cfg tvsched.Config, checkpoint bool) (tvsched.Result, RunInfo, error) {
+	return func(ctx context.Context, cfg tvsched.Config, checkpoint bool) (tvsched.Result, resolve.Source, error) {
 		select {
 		case <-time.After(d):
 		case <-ctx.Done():
-			return tvsched.Result{}, RunInfo{}, ctx.Err()
+			return tvsched.Result{}, resolve.Cold, ctx.Err()
 		}
 		st := tvsched.PipeStats{Committed: cfg.Instructions, Cycles: cfg.Instructions*2 + cfg.Seed}
-		return tvsched.Result{IPC: st.IPC(), Stats: st}, RunInfo{}, nil
+		return tvsched.Result{IPC: st.IPC(), Stats: st}, resolve.Cold, nil
 	}
 }
 

@@ -160,18 +160,14 @@ func (s *Server) recordConfig(digest string, cfg tvsched.Config) {
 	if err != nil {
 		return
 	}
-	s.cfgMu.Lock()
-	s.knownCfgs.put(digest, b)
-	s.cfgMu.Unlock()
+	s.knownCfgs.Put(digest, b)
 }
 
 // configFor recovers the config behind digest, if this node ever led its
 // computation. The digest is a one-way hash, so this bounded memory is the
 // only road back from a digest to something re-simulable.
 func (s *Server) configFor(digest string) (tvsched.Config, bool) {
-	s.cfgMu.Lock()
-	b, ok := s.knownCfgs.get(digest)
-	s.cfgMu.Unlock()
+	b, ok := s.knownCfgs.Get(digest)
 	if !ok {
 		return tvsched.Config{}, false
 	}
@@ -199,11 +195,13 @@ func (s *Server) repairDivergence(ctx context.Context, digest string, local, rem
 			slog.String("digest", digest), slog.String("peer", peer.ID))
 		return false
 	}
-	oracle, status, _, err := s.runLocal(digest, cfg, true, span.Context{})
-	if err != nil || status != 200 {
+	// The oracle simulates afresh: neither the result cache nor the store
+	// may answer for the bytes under suspicion.
+	oracle, _, err := s.runLocal(digest, cfg, true, span.Context{})
+	if err != nil {
 		s.log.LogAttrs(ctx, slog.LevelWarn, "repair re-simulation failed",
-			slog.String("digest", digest), slog.Int("status", status),
-			slog.String("cause", errString(err)))
+			slog.String("digest", digest), slog.Int("status", s.statusOf(err)),
+			slog.String("cause", err.Error()))
 		return false
 	}
 	if d := cfg.Digest(); d != digest {
@@ -215,9 +213,7 @@ func (s *Server) repairDivergence(ctx context.Context, digest string, local, rem
 	}
 	repaired := false
 	if !bytes.Equal(local, oracle) {
-		s.mu.Lock()
-		s.cache.put(digest, oracle)
-		s.mu.Unlock()
+		s.results.Memo.Put(digest, oracle)
 		s.storePut(digest, oracle)
 		repaired = true
 		s.log.LogAttrs(ctx, slog.LevelWarn, "local replica repaired from oracle",
@@ -241,13 +237,6 @@ func (s *Server) repairDivergence(ctx context.Context, digest string, local, rem
 		s.sm.PeerOp(peer.ID, obs.PeerRepaired)
 	}
 	return repaired
-}
-
-func errString(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
 }
 
 // validDigest reports whether d has the exact shape of a config digest —

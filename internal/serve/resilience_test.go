@@ -265,7 +265,7 @@ func TestRepairSweepHealsDivergence(t *testing.T) {
 	// and neither copy can masquerade as the truth.
 	corrupt := func(n clusterNode, body []byte) {
 		n.srv.mu.Lock()
-		n.srv.cache.put(digest, body)
+		n.srv.results.Memo.Put(digest, body)
 		n.srv.mu.Unlock()
 	}
 	corrupt(a, []byte("torn local replica\n"))
@@ -301,7 +301,7 @@ func TestRepairSkipsUnknownConfig(t *testing.T) {
 	digest := strings.Repeat("ab", 32)
 	inject := func(n clusterNode, body []byte) {
 		n.srv.mu.Lock()
-		n.srv.cache.put(digest, body)
+		n.srv.results.Memo.Put(digest, body)
 		n.srv.mu.Unlock()
 	}
 	inject(a, []byte("mine\n"))
@@ -382,7 +382,7 @@ func TestAntiEntropyEndpoint(t *testing.T) {
 	digest := strings.Repeat("cd", 32)
 	inject := func(n clusterNode, body []byte) {
 		n.srv.mu.Lock()
-		n.srv.cache.put(digest, body)
+		n.srv.results.Memo.Put(digest, body)
 		n.srv.mu.Unlock()
 	}
 	inject(a, []byte("x\n"))

@@ -5,25 +5,33 @@
 //
 // The serving mechanics exploit the library's determinism end to end. Every
 // request is normalized and content-addressed (tvsched.Config.Digest over
-// the canonical JSON form), and the digest keys two layers:
+// the canonical JSON form), and the digest is resolved through the same
+// resolver cmd/tvplan uses (internal/resolve), configured for serving:
 //
 //   - a bounded LRU result cache holding the exact response bytes, so a
 //     repeat request is served byte-identical without simulating;
-//   - a singleflight table collapsing concurrent identical requests onto
-//     one in-flight simulation, so a thundering herd of N equal requests
-//     costs one run, not N.
+//   - a singleflight collapsing concurrent identical requests onto one
+//     computation, which runs detached under the server's lifetime, so a
+//     thundering herd of N equal requests costs one run, not N;
+//   - a second singleflight and LRU keyed by warm key, so the cells of a
+//     scheme×voltage sweep restore one warm-state snapshot instead of each
+//     re-simulating the warmup phase.
 //
-// Admission is bounded: at most Workers simulations execute concurrently
-// and at most QueueDepth more may wait; beyond that the server sheds load
-// with 429 and a Retry-After estimate instead of queueing unboundedly.
-// Request deadlines propagate into the pipeline via context (cancellation
-// lands within 256 simulated cycles), and SIGTERM drains gracefully: the
-// daemon stops admitting, finishes what is in flight, then exits.
+// Around those shared pieces the server keeps what is its own. Admission is
+// bounded: at most Workers simulations execute concurrently and at most
+// QueueDepth more may wait; beyond that the server sheds load with 429 and a
+// Retry-After estimate instead of queueing unboundedly. Request deadlines
+// propagate into the pipeline via context (cancellation lands within 256
+// simulated cycles), and SIGTERM drains gracefully: the daemon stops
+// admitting, finishes what is in flight, then exits. Every stage records a
+// span, and the resolution's provenance labels the X-Tvsched-Cache and
+// X-Tvsched-Source headers, spans, logs and metrics.
 //
 // POST /v1/run answers one request; POST /v1/sweep fans a cross-product
 // sweep across the pool and streams per-cell results as NDJSON in
-// deterministic cell order. GET /healthz, /readyz and /metrics (Prometheus
-// text format, including queue depth, cache hit/miss, in-flight and latency
+// deterministic cell order; POST /v1/campaign runs a journaled campaign in
+// the background. GET /healthz, /readyz and /metrics (Prometheus text
+// format, including queue depth, cache hit/miss, in-flight and latency
 // histograms via obs.ServeMetrics) complete the operational surface.
 // cmd/tvload is the matching closed-loop load generator.
 //
@@ -39,7 +47,8 @@
 //     serves locally held bytes to peers without ever computing. A periodic
 //     anti-entropy sweep cross-checks replicated digests byte-for-byte —
 //     determinism makes any divergence a bug, surfaced as a counter and an
-//     error log, never an acceptable inconsistency.
+//     error log, never an acceptable inconsistency. An unreachable owner
+//     degrades to local computation, owed back to it once it returns.
 package serve
 
 import (
@@ -63,6 +72,7 @@ import (
 	"tvsched/internal/obs"
 	"tvsched/internal/obs/span"
 	"tvsched/internal/resil"
+	"tvsched/internal/resolve"
 	"tvsched/internal/store"
 )
 
@@ -78,10 +88,11 @@ const StatusClientClosedRequest = 499
 var errMethod = errors.New("method not allowed")
 
 // Runner executes one normalized simulation config; checkpoint says whether
-// the run may share the server's warm-state snapshot cache. It is a seam for
-// tests (which substitute counting or blocking stubs); the default runner
-// drives a tvsched.Session with a per-run shard of the server's pipeline
-// metrics attached.
+// the run may share the server's warm-state snapshot cache, and the Source
+// says whether it did (resolve.Restored) or warmed up from scratch
+// (resolve.Cold). It is a seam for tests (which substitute counting or
+// blocking stubs); the default runner is resolve.Simulate with a per-run
+// shard of the server's pipeline metrics attached.
 //
 // All server runs use neutral warmup (tvsched.Session.WarmupNeutral): the
 // warmup phase executes at the nominal supply and the retarget to the
@@ -89,45 +100,7 @@ var errMethod = errors.New("method not allowed")
 // is scheme- and VDD-independent, so whether a run restores a cached
 // checkpoint or warms up from scratch cannot change a single response byte —
 // checkpoint only decides whether the warmup cost is paid again.
-type Runner func(ctx context.Context, cfg tvsched.Config, checkpoint bool) (tvsched.Result, RunInfo, error)
-
-// RunInfo reports how a Runner produced its result — the per-cell provenance
-// the campaign accounting (progress heartbeats, span tags, capacity
-// planning) observes. It never affects the result bytes.
-type RunInfo struct {
-	// Restored is true when the run skipped its warmup phase by restoring a
-	// cached warm-state snapshot; false means a cold warmup ran.
-	Restored bool
-}
-
-// provenance renders the per-request cache provenance label: cache "hit"
-// (memory or store), singleflight "shared", a result obtained from the
-// cluster ("forward" to its owner, or owner-side "peer" read-through), or a
-// fresh simulation that was "restored" from a warm snapshot or ran fully
-// "cold".
-func provenance(outcome obs.ServeOutcome, src source, restored bool) string {
-	switch outcome {
-	case obs.ServeHit:
-		return "hit"
-	case obs.ServeShared:
-		return "shared"
-	case obs.ServeMiss:
-		switch src {
-		case srcForward:
-			return "forward"
-		case srcPeer:
-			return "peer"
-		case srcComputeDegraded:
-			return "degraded"
-		}
-		if restored {
-			return "restored"
-		}
-		return "cold"
-	default:
-		return outcome.String()
-	}
-}
+type Runner func(ctx context.Context, cfg tvsched.Config, checkpoint bool) (tvsched.Result, resolve.Source, error)
 
 // Config parameterizes a Server. Zero fields take the documented defaults.
 type Config struct {
@@ -292,21 +265,9 @@ func (c *Config) fill() {
 	}
 }
 
-// call is one in-flight computation in the singleflight table. The leader
-// fills the result fields and closes done; every waiter (the leader's own
-// request and any collapsed followers) reads them afterwards.
-type call struct {
-	done     chan struct{}
-	body     []byte
-	status   int
-	src      source // where the leader obtained the bytes
-	restored bool   // the leader's run restored a warm snapshot
-	err      error
-}
-
-// Server is the simulation-serving core: handlers, cache, singleflight
-// table, admission accounting, and metric registries. Create it with New
-// and mount Handler.
+// Server is the simulation-serving core: handlers, the resolver's result
+// and snapshot flights, admission accounting, and metric registries. Create
+// it with New and mount Handler.
 type Server struct {
 	cfg        Config
 	sm         *obs.ServeMetrics
@@ -315,27 +276,20 @@ type Server struct {
 	tracer     *span.Tracer
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-	sem        chan struct{} // worker slots
-	wg         sync.WaitGroup
+	sem        chan struct{}  // worker slots
+	wg         sync.WaitGroup // admitted computations, like pending
 
 	mu       sync.Mutex
-	cache    *lruCache
-	flight   map[string]*call
 	pending  int // admitted computations: queued + running
 	running  int
 	draining bool
 
-	// The snapshot layer has its own lock and singleflight table: snapshot
-	// production happens inside a result computation (the leader already
-	// holds a worker slot), so it must never wait on s.mu-guarded state.
-	snapMu     sync.Mutex
-	snapCache  *lruCache // WarmKey → snapshot bytes
-	snapFlight map[string]*snapCall
-
-	// snapProduce produces warm-state bytes for the snapshot singleflight;
-	// it defaults to produceSnapshot and is a seam for tests that need a
-	// controllable (blocking, failing) producer.
-	snapProduce func(ctx context.Context, cfg tvsched.Config) ([]byte, error)
+	// results resolves digests to response bytes: its memo is the LRU
+	// result cache, its leads (compute) run detached under the server's
+	// lifetime. snaps resolves warm keys to snapshot bytes for the default
+	// runner, led inline by the first cell's donor.
+	results *resolve.Flight
+	snaps   *resolve.Flight
 
 	// The cluster layer: nil ring means standalone. The ring is swapped
 	// whole under clMu (SetPeers); readers take ringView.
@@ -352,8 +306,7 @@ type Server struct {
 	breakers  map[string]*resil.Breaker
 	owedMu    sync.Mutex
 	owed      map[string][]string
-	cfgMu     sync.Mutex
-	knownCfgs *lruCache
+	knownCfgs *resolve.LRU
 
 	store *store.Store // nil means memory-only
 
@@ -362,14 +315,6 @@ type Server struct {
 	campaigns map[string]*campaignRun
 
 	mux *http.ServeMux
-}
-
-// snapCall is one in-flight warm-state production, singleflighted per
-// WarmKey so a sweep's N cells cost one warmup, not N.
-type snapCall struct {
-	done chan struct{}
-	data []byte
-	err  error
 }
 
 // New builds a ready-to-serve Server.
@@ -385,17 +330,19 @@ func New(cfg Config) *Server {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		sem:        make(chan struct{}, cfg.Workers),
-		cache:      newLRU(cfg.CacheEntries),
-		flight:     make(map[string]*call),
-		snapCache:  newLRU(cfg.SnapshotEntries),
-		snapFlight: make(map[string]*snapCall),
-		breakers:   make(map[string]*resil.Breaker),
-		owed:       make(map[string][]string),
-		knownCfgs:  newLRU(cfg.CacheEntries),
-		store:      cfg.Store,
-		campaigns:  make(map[string]*campaignRun),
+		results:    &resolve.Flight{Memo: resolve.NewLRU(cfg.CacheEntries), Detach: true},
+		snaps: &resolve.Flight{
+			Memo: resolve.NewLRU(cfg.SnapshotEntries),
+			OnLead: func(ctx context.Context, d time.Duration) {
+				span.FromContext(ctx).RecordChild("snapshot_produce", d)
+			},
+		},
+		breakers:  make(map[string]*resil.Breaker),
+		owed:      make(map[string][]string),
+		knownCfgs: resolve.NewLRU(cfg.CacheEntries),
+		store:     cfg.Store,
+		campaigns: make(map[string]*campaignRun),
 	}
-	s.snapProduce = produceSnapshot
 	if s.cfg.Runner == nil {
 		s.cfg.Runner = s.defaultRunner
 	}
@@ -427,21 +374,21 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Metrics returns the serving-layer registry (tests and embedders).
 func (s *Server) Metrics() *obs.ServeMetrics { return s.sm }
 
-// defaultRunner executes the simulation for real, feeding the server's
-// pipeline-metrics registry through a private per-run shard so the hot
-// event path never contends across workers. With checkpoint set it restores
-// the shared warm-state snapshot for the cell's WarmKey (producing and
-// caching it on first use) instead of re-simulating the warmup phase; the
-// neutral-warmup property makes the two paths byte-identical (see Runner).
-func (s *Server) defaultRunner(ctx context.Context, cfg tvsched.Config, checkpoint bool) (tvsched.Result, RunInfo, error) {
+// defaultRunner executes the simulation for real through resolve.Simulate,
+// feeding the server's pipeline-metrics registry through a private per-run
+// shard so the hot event path never contends across workers. With
+// checkpoint set it restores the shared warm-state snapshot for the cell's
+// WarmKey (producing and caching it on first use) instead of re-simulating
+// the warmup phase; the neutral-warmup property makes the two paths
+// byte-identical (see Runner).
+func (s *Server) defaultRunner(ctx context.Context, cfg tvsched.Config, checkpoint bool) (tvsched.Result, resolve.Source, error) {
 	sh := s.pipeM.Shard()
 	cfg.Observer = sh
 	defer sh.Flush()
 	// The simulate span (if this computation is traced) receives one child
 	// per session lifecycle phase, named for the timeline reader: the
 	// "restore" phase is a snapshot restore, "run" is the measured phase.
-	sp := span.FromContext(ctx)
-	if sp != nil {
+	if sp := span.FromContext(ctx); sp != nil {
 		cfg.PhaseHook = func(phase string, d time.Duration) {
 			switch phase {
 			case "restore":
@@ -453,111 +400,13 @@ func (s *Server) defaultRunner(ctx context.Context, cfg tvsched.Config, checkpoi
 			}
 			sp.RecordChild(phase, d)
 		}
+		sp.SetAttr("warm_key", cfg.WarmKey())
 	}
-	sess, err := tvsched.NewSession(cfg)
-	if err != nil {
-		return tvsched.Result{}, RunInfo{}, err
-	}
-	sp.SetAttr("warm_key", sess.WarmKey())
+	var snaps *resolve.Flight
 	if checkpoint {
-		key := sess.WarmKey()
-		if data, err := s.warmSnapshot(ctx, cfg, key); err == nil {
-			if err := sess.Restore(&tvsched.Snapshot{Key: key, Data: data}); err == nil {
-				res, err := sess.Run(ctx, tvsched.RunOpts{})
-				return res, RunInfo{Restored: true}, err
-			}
-			// A failed restore may leave the machine half-loaded; rebuild
-			// before falling back to the cold path.
-			if sess, err = tvsched.NewSession(cfg); err != nil {
-				return tvsched.Result{}, RunInfo{}, err
-			}
-		} else if ctx.Err() != nil {
-			return tvsched.Result{}, RunInfo{}, err
-		}
-		// Any other snapshot failure falls back to a cold warmup: checkpoints
-		// are an optimization, never a correctness dependency.
+		snaps = s.snaps
 	}
-	if err := sess.WarmupNeutral(ctx); err != nil {
-		return tvsched.Result{}, RunInfo{}, err
-	}
-	res, err := sess.Run(ctx, tvsched.RunOpts{})
-	return res, RunInfo{}, err
-}
-
-// warmSnapshot returns the snapshot bytes for key: snapshot-cache hit,
-// collapse onto an in-flight production, or lead one — a throwaway donor
-// session (any scheme/VDD with this key produces the same bytes) warmed at
-// the nominal supply and serialized.
-//
-// A leader produces under its own request context, so it can die of a
-// context error (its client hung up, its deadline passed) that says nothing
-// about the followers collapsed onto it. A follower waking to such an error
-// while its own context is still live must not inherit it: it loops back to
-// re-check the cache and either joins a newer flight or leads the
-// production itself.
-func (s *Server) warmSnapshot(ctx context.Context, cfg tvsched.Config, key string) ([]byte, error) {
-	s.snapMu.Lock()
-	for {
-		if b, ok := s.snapCache.get(key); ok {
-			s.snapMu.Unlock()
-			return b, nil
-		}
-		c, ok := s.snapFlight[key]
-		if !ok {
-			break // no flight: this goroutine leads (still holding snapMu)
-		}
-		s.snapMu.Unlock()
-		select {
-		case <-c.done:
-			if isCtxErr(c.err) && ctx.Err() == nil {
-				s.snapMu.Lock()
-				continue // the leader's context died, not ours: re-lead
-			}
-			return c.data, c.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	c := &snapCall{done: make(chan struct{})}
-	s.snapFlight[key] = c
-	s.snapMu.Unlock()
-
-	prodStart := time.Now()
-	c.data, c.err = s.snapProduce(ctx, cfg)
-	span.FromContext(ctx).RecordChild("snapshot_produce", time.Since(prodStart))
-	s.snapMu.Lock()
-	if c.err == nil {
-		s.snapCache.put(key, c.data)
-	}
-	delete(s.snapFlight, key)
-	s.snapMu.Unlock()
-	close(c.done)
-	return c.data, c.err
-}
-
-// isCtxErr reports whether err is a context cancellation or deadline —
-// an error bound to one request's lifetime, not to the work itself.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// produceSnapshot runs the warmup phase once on a donor session and
-// serializes its warm state. The donor carries no observer: warm-state bytes
-// are observer-independent, and the observer-off cycle loop is the fast one.
-func produceSnapshot(ctx context.Context, cfg tvsched.Config) ([]byte, error) {
-	cfg.Observer = nil
-	donor, err := tvsched.NewSession(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := donor.WarmupNeutral(ctx); err != nil {
-		return nil, err
-	}
-	snap, err := donor.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return snap.Data, nil
+	return resolve.Simulate(ctx, cfg, snaps)
 }
 
 // BeginDrain flips /readyz to 503 so load balancers stop routing here. Call
@@ -590,38 +439,54 @@ func (s *Server) gaugesLocked() {
 }
 
 // answer is one resolved result lookup: the response bytes (or error), the
-// cache outcome the metrics record, and the source the bytes came from.
+// resolution's provenance, the outcome the metrics record, and the HTTP
+// status an error maps to.
 type answer struct {
-	body     []byte
-	outcome  obs.ServeOutcome
-	src      source
-	restored bool
-	status   int
-	err      error
+	body    []byte
+	prov    resolve.Provenance
+	outcome obs.ServeOutcome
+	status  int
+	err     error
 }
 
-// provenance renders the answer's cache-provenance label (the X-Tvsched-Cache
-// value tooling like tvload classifies on is the coarser outcome; this is the
-// span/log label).
-func (a answer) provenance() string { return provenance(a.outcome, a.src, a.restored) }
+// label is the answer's span/log provenance label. Refused and abandoned
+// answers have no source and carry their outcome's name.
+func (a answer) label() string {
+	if a.prov.Src == resolve.None {
+		return a.outcome.String()
+	}
+	return a.prov.Label()
+}
+
+// outcomeOf is the serving-metrics outcome a provenance's X-Tvsched-Cache
+// value names.
+func outcomeOf(p resolve.Provenance) obs.ServeOutcome {
+	switch p.Cache() {
+	case "hit":
+		return obs.ServeHit
+	case "shared":
+		return obs.ServeShared
+	}
+	return obs.ServeMiss
+}
 
 // abandoned maps a waiter's dead context to its answer: a client that hung
 // up gets 499/canceled (its own doing), a deadline or shutdown gets
 // 503/error.
 func abandoned(err error) answer {
 	if errors.Is(err, context.Canceled) {
-		return answer{outcome: obs.ServeCanceled, src: srcNone, status: StatusClientClosedRequest, err: err}
+		return answer{outcome: obs.ServeCanceled, status: StatusClientClosedRequest, err: err}
 	}
-	return answer{outcome: obs.ServeErrored, src: srcNone, status: http.StatusServiceUnavailable, err: err}
+	return answer{outcome: obs.ServeErrored, status: http.StatusServiceUnavailable, err: err}
 }
 
-// result answers one normalized config: cache hit, collapse onto an
-// in-flight computation, or lead a new one. admit=false (sweep cells)
-// bypasses the queue-full rejection — a sweep is one admitted request whose
-// internal fan-out is flow-controlled by the worker pool, so its cells wait
-// for capacity instead of bouncing. forwarded marks a request another node
-// already routed here; the leader then never forwards again (the one-hop
-// rule).
+// result answers one normalized config through the result flight: cache
+// hit, collapse onto an in-flight computation, or lead a new one. admit=false
+// (sweep cells) bypasses the queue-full rejection — a sweep is one admitted
+// request whose internal fan-out is flow-controlled by the worker pool, so
+// its cells wait for capacity instead of bouncing. forwarded marks a request
+// another node already routed here; the leader then never forwards again
+// (the one-hop rule).
 //
 // parent, when non-nil, is the live request (or sweep-cell) span; the
 // admission decision and every wait are recorded as children under it, and
@@ -629,82 +494,80 @@ func abandoned(err error) answer {
 // value-copied span context (safe even after the request span ends).
 func (s *Server) result(ctx context.Context, cfg tvsched.Config, admit, checkpoint, forwarded bool, parent *span.ActiveSpan) answer {
 	digest := cfg.Digest()
-	lookupStart := time.Now()
-	s.mu.Lock()
-	if b, ok := s.cache.get(digest); ok {
-		s.mu.Unlock()
-		parent.RecordChild("cache_lookup", time.Since(lookupStart), span.Attr{Key: "hit", Value: "true"})
-		return answer{body: b, outcome: obs.ServeHit, src: srcMemory, status: http.StatusOK}
-	}
-	if c, ok := s.flight[digest]; ok {
-		s.mu.Unlock()
-		parent.RecordChild("cache_lookup", time.Since(lookupStart), span.Attr{Key: "hit", Value: "false"})
-		ws := parent.Child("singleflight_wait")
-		select {
-		case <-c.done:
-			ws.End()
-			return answer{body: c.body, outcome: obs.ServeShared, src: c.src, restored: c.restored, status: c.status, err: c.err}
-		case <-ctx.Done():
-			ws.SetAttr("outcome", "abandoned")
-			ws.End()
-			return abandoned(ctx.Err())
+	start := time.Now()
+	var lookup time.Duration
+	// Admission is decided under the flight's lock, atomically with the
+	// miss that makes this request a leader: joins and hits are never shed.
+	decide := func(shared bool) error {
+		lookup = time.Since(start)
+		if shared {
+			return nil
 		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if admit && s.pending >= s.cfg.Workers+s.cfg.QueueDepth {
+			return ErrBusy
+		}
+		s.pending++
+		s.gaugesLocked()
+		s.wg.Add(1) // released when compute returns
+		return nil
 	}
-	if admit && s.pending >= s.cfg.Workers+s.cfg.QueueDepth {
-		s.mu.Unlock()
-		parent.RecordChild("admission", time.Since(lookupStart), span.Attr{Key: "decision", Value: "rejected"})
-		return answer{outcome: obs.ServeRejected, src: srcNone, status: http.StatusTooManyRequests, err: ErrBusy}
-	}
-	c := &call{done: make(chan struct{})}
-	s.flight[digest] = c
-	s.pending++
-	s.gaugesLocked()
-	s.mu.Unlock()
-	parent.RecordChild("admission", time.Since(lookupStart), span.Attr{Key: "decision", Value: "lead"})
-
 	// The computation runs under the server's lifetime, not this request's:
 	// followers that arrive later still want the result, and so does the
-	// cache. The leader merely waits like any other follower.
-	s.wg.Add(1)
-	go s.compute(digest, cfg, c, checkpoint, forwarded, parent.Context())
-	select {
-	case <-c.done:
-		outcome := obs.ServeMiss
-		if c.src == srcStore {
-			// Store hits are cache hits that happened to live on disk: same
-			// bytes, no simulation, provenance "hit".
-			outcome = obs.ServeHit
+	// cache. The leader merely waits like any other follower, so a failed
+	// computation (shutdown included) reaches every waiter as its status.
+	body, prov, err := s.results.Do(ctx, digest, decide, func(context.Context) ([]byte, resolve.Source, error) {
+		return s.compute(digest, cfg, checkpoint, forwarded, parent.Context())
+	})
+	gone := err != nil && ctx.Err() != nil
+	switch {
+	case prov.Src == resolve.Memory:
+		parent.RecordChild("cache_lookup", time.Since(start), span.Attr{Key: "hit", Value: "true"})
+	case prov.Shared:
+		parent.RecordChild("cache_lookup", lookup, span.Attr{Key: "hit", Value: "false"})
+		var wait []span.Attr
+		if gone {
+			wait = append(wait, span.Attr{Key: "outcome", Value: "abandoned"})
 		}
-		return answer{body: c.body, outcome: outcome, src: c.src, restored: c.restored, status: c.status, err: c.err}
-	case <-ctx.Done():
+		parent.RecordChild("singleflight_wait", time.Since(start)-lookup, wait...)
+	case errors.Is(err, ErrBusy):
+		parent.RecordChild("admission", lookup, span.Attr{Key: "decision", Value: "rejected"})
+		return answer{outcome: obs.ServeRejected, status: http.StatusTooManyRequests, err: ErrBusy}
+	default:
+		parent.RecordChild("admission", lookup, span.Attr{Key: "decision", Value: "lead"})
+	}
+	if gone {
 		return abandoned(ctx.Err())
 	}
+	return answer{body: body, prov: prov, outcome: outcomeOf(prov), status: s.statusOf(err), err: err}
 }
 
-// compute is the singleflight leader body: obtain the bytes (store, cluster,
-// or a local simulation — see obtain), cache and persist them, publish to
-// waiters. parent is the leading request's span context (a value copy — the
-// request may be gone by the time the computation finishes; the trace link
-// stays valid).
-func (s *Server) compute(digest string, cfg tvsched.Config, c *call, checkpoint, forwarded bool, parent span.Context) {
+// compute is the result flight's lead: obtain the bytes (store, cluster, or
+// a local simulation — see obtain), publish and persist them, and release
+// the admission slot. parent is the leading request's span context (a value
+// copy — the request may be gone by the time the computation finishes; the
+// trace link stays valid).
+func (s *Server) compute(digest string, cfg tvsched.Config, checkpoint, forwarded bool, parent span.Context) ([]byte, resolve.Source, error) {
 	defer s.wg.Done()
 	// Leaders remember the config behind the digest: if this digest ever
 	// diverges across replicas, the repair oracle re-simulates from here.
 	s.recordConfig(digest, cfg)
-	body, src, status, info, err := s.obtain(digest, cfg, checkpoint, forwarded, parent)
+	body, src, err := s.obtain(digest, cfg, checkpoint, forwarded, parent)
 	s.mu.Lock()
-	if err == nil {
-		s.cache.put(digest, body)
-	}
-	delete(s.flight, digest)
 	s.pending--
 	s.gaugesLocked()
 	s.mu.Unlock()
-	if err == nil && src != srcStore {
-		s.storePut(digest, body)
+	if err == nil {
+		// Publish before the store write-back fsyncs, so repeat requests hit
+		// memory meanwhile; the flight's own memo write after this lead only
+		// refreshes the entry.
+		s.results.Memo.Put(digest, body)
+		if src != resolve.Store {
+			s.storePut(digest, body)
+		}
 	}
-	c.body, c.src, c.status, c.restored, c.err = body, src, status, info.Restored, err
-	close(c.done)
+	return body, src, err
 }
 
 // obtain resolves the bytes for one digest through the three layers beyond
@@ -721,7 +584,7 @@ func (s *Server) compute(digest string, cfg tvsched.Config, c *call, checkpoint,
 // non-owner that computes because its owner was unreachable (breaker open,
 // forward budget exhausted) serves the result as "compute-degraded" and owes
 // the owner a replica, delivered when the breaker closes again.
-func (s *Server) obtain(digest string, cfg tvsched.Config, checkpoint, forwarded bool, parent span.Context) (body []byte, src source, status int, info RunInfo, err error) {
+func (s *Server) obtain(digest string, cfg tvsched.Config, checkpoint, forwarded bool, parent span.Context) ([]byte, resolve.Source, error) {
 	if s.store != nil {
 		ls := s.tracer.StartRoot("store_lookup", parent)
 		b, ok, serr := s.store.Get(digest)
@@ -729,7 +592,7 @@ func (s *Server) obtain(digest string, cfg tvsched.Config, checkpoint, forwarded
 		ls.End()
 		if ok {
 			s.sm.StoreOp(obs.StoreHit)
-			return b, srcStore, http.StatusOK, RunInfo{}, nil
+			return b, resolve.Store, nil
 		}
 		s.sm.StoreOp(obs.StoreMiss)
 		if serr != nil {
@@ -741,109 +604,88 @@ func (s *Server) obtain(digest string, cfg tvsched.Config, checkpoint, forwarded
 	if ring := s.ringView(); ring != nil && !forwarded {
 		if owner, self := ring.Owner(digest); !self {
 			if b, ok := s.forwardToOwner(digest, cfg, owner, parent); ok {
-				return b, srcForward, http.StatusOK, RunInfo{}, nil
+				return b, resolve.Forward, nil
 			}
 			// Owner unreachable or disagreeing: compute locally. Wasteful,
 			// never wrong — anti-entropy would surface diverging bytes.
 			degradedOwner = owner.ID
 		} else if b, ok := s.peerReadThrough(digest, parent); ok {
-			return b, srcPeer, http.StatusOK, RunInfo{}, nil
+			return b, resolve.Peer, nil
 		}
 	}
-	body, status, info, err = s.runLocal(digest, cfg, checkpoint, parent)
-	src = srcCompute
+	body, src, err := s.runLocal(digest, cfg, checkpoint, parent)
 	if degradedOwner != "" && err == nil {
-		src = srcComputeDegraded
+		if src == resolve.Restored {
+			src = resolve.DegradedRestored
+		} else {
+			src = resolve.DegradedCold
+		}
 		s.sm.PeerOp(degradedOwner, obs.PeerDegraded)
 		s.owe(degradedOwner, digest)
 		s.log.LogAttrs(s.baseCtx, slog.LevelWarn, "served degraded: computed for unreachable owner",
 			slog.String("digest", digest), slog.String("owner", degradedOwner))
 	}
-	return body, src, status, info, err
+	return body, src, err
 }
 
 // runLocal queues for a worker slot, runs the simulation, and renders the
-// report — the only layer that actually simulates.
-func (s *Server) runLocal(digest string, cfg tvsched.Config, checkpoint bool, parent span.Context) (body []byte, status int, info RunInfo, err error) {
-	status = http.StatusOK
+// report — the only layer that actually simulates. The response body is the
+// compact run report plus a trailing newline, so the same bytes less the
+// newline embed verbatim in NDJSON sweep lines.
+func (s *Server) runLocal(digest string, cfg tvsched.Config, checkpoint bool, parent span.Context) ([]byte, resolve.Source, error) {
 	qs := s.tracer.StartRoot("queue_wait", parent)
 	select {
 	case s.sem <- struct{}{}:
 		qs.End()
-		s.mu.Lock()
-		s.running++
-		s.gaugesLocked()
-		s.mu.Unlock()
-		runCtx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RunTimeout)
-		ss := s.tracer.StartRoot("simulate", parent)
-		ss.SetAttr("digest", digest)
-		runCtx = span.NewContext(runCtx, ss)
-		start := time.Now()
-		var res tvsched.Result
-		res, info, err = s.cfg.Runner(runCtx, cfg, checkpoint)
-		cancel()
-		ss.SetAttr("provenance", provenance(obs.ServeMiss, srcCompute, info.Restored))
-		if err != nil {
-			ss.SetAttr("error", err.Error())
-		}
-		ss.End()
-		s.sm.ObserveRun(uint64(time.Since(start).Microseconds()))
-		s.mu.Lock()
-		s.running--
-		s.gaugesLocked()
-		s.mu.Unlock()
-		<-s.sem
-		if err == nil {
-			es := s.tracer.StartRoot("encode", parent)
-			body, err = marshalReport(reportFor(cfg, res))
-			es.End()
-		}
-		if err != nil {
-			status = statusFor(err)
-			if s.baseCtx.Err() != nil {
-				// The server is shutting down: whatever the run died of, the
-				// client should see overload, not a client-fault status.
-				status = http.StatusServiceUnavailable
-			}
-		}
 	case <-s.baseCtx.Done():
 		qs.SetAttr("outcome", "aborted")
 		qs.End()
-		err = s.baseCtx.Err()
-		status = http.StatusServiceUnavailable
+		return nil, resolve.Cold, s.baseCtx.Err()
 	}
-	return body, status, info, err
-}
-
-// reportFor renders a finished simulation as the run-report/v1 artifact the
-// rest of the repo (tvgate, dashboards, EXPERIMENTS.md) already consumes.
-// Every field derives from the deterministic result, so the bytes are a
-// pure function of the request.
-func reportFor(cfg tvsched.Config, res tvsched.Result) *obs.RunReport {
-	st := res.Stats
-	return &obs.RunReport{
-		Schema:       obs.RunReportSchema,
-		Tool:         "tvservd",
-		Benchmark:    cfg.Benchmark,
-		Scheme:       cfg.Scheme.String(),
-		VDD:          cfg.VDD,
-		Seed:         cfg.Seed,
-		Instructions: st.Committed,
-		Cycles:       st.Cycles,
-		IPC:          st.IPC(),
-		TEP:          experiments.TEPAccuracyFrom(&st),
-	}
-}
-
-// marshalReport renders the response body: compact JSON plus a trailing
-// newline. Compact (rather than RunReport.WriteJSON's indented form) so the
-// same bytes embed verbatim in NDJSON sweep lines.
-func marshalReport(rep *obs.RunReport) ([]byte, error) {
-	b, err := json.Marshal(rep)
+	s.mu.Lock()
+	s.running++
+	s.gaugesLocked()
+	s.mu.Unlock()
+	runCtx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RunTimeout)
+	ss := s.tracer.StartRoot("simulate", parent)
+	ss.SetAttr("digest", digest)
+	start := time.Now()
+	res, src, err := s.cfg.Runner(span.NewContext(runCtx, ss), cfg, checkpoint)
+	cancel()
+	ss.SetAttr("provenance", resolve.Provenance{Src: src}.Label())
 	if err != nil {
-		return nil, err
+		ss.SetAttr("error", err.Error())
 	}
-	return append(b, '\n'), nil
+	ss.End()
+	s.sm.ObserveRun(uint64(time.Since(start).Microseconds()))
+	s.mu.Lock()
+	s.running--
+	s.gaugesLocked()
+	s.mu.Unlock()
+	<-s.sem
+	if err != nil {
+		return nil, src, err
+	}
+	es := s.tracer.StartRoot("encode", parent)
+	body, err := experiments.RunReportJSON("tvservd", cfg, res)
+	if err == nil {
+		body = append(body, '\n')
+	}
+	es.End()
+	return body, src, err
+}
+
+// statusOf maps a computation's error to the HTTP status its waiters
+// answer with. While the server shuts down every failure is 503, whatever
+// the run died of: the server is the one giving up, not the client.
+func (s *Server) statusOf(err error) int {
+	switch {
+	case err == nil:
+		return http.StatusOK
+	case s.baseCtx.Err() != nil:
+		return http.StatusServiceUnavailable
+	}
+	return statusFor(err)
 }
 
 // statusFor maps simulation errors to HTTP statuses: caller mistakes to
@@ -981,24 +823,24 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ans := s.result(r.Context(), cfg, true, true, forwarded, sp)
 	s.sm.Outcome(ans.outcome)
 	s.sm.ObserveRequest(obs.RouteRun, ans.outcome, uint64(time.Since(start).Microseconds()))
-	prov := ans.provenance()
-	sp.SetAttr("outcome", prov)
+	label := ans.label()
+	sp.SetAttr("outcome", label)
 	if ans.err != nil {
 		s.fail(w, r, reqID, digest, ans.status, ans.err)
 		return
 	}
 	h.Set("Content-Type", "application/json")
 	h.Set("X-Tvsched-Digest", digest)
-	h.Set("X-Tvsched-Cache", ans.outcome.String())
-	if ans.src != srcNone {
-		h.Set(SourceHeader, ans.src.String())
+	h.Set("X-Tvsched-Cache", ans.prov.Cache())
+	if src := ans.prov.Header(); src != "" {
+		h.Set(SourceHeader, src)
 	}
 	_, _ = w.Write(ans.body)
 	s.log.LogAttrs(r.Context(), slog.LevelInfo, "run served",
 		slog.String("request_id", reqID),
 		slog.String("digest", digest),
-		slog.String("cache", prov),
-		slog.String("source", ans.src.String()),
+		slog.String("cache", label),
+		slog.String("source", ans.prov.Header()),
 		slog.Duration("elapsed", time.Since(start)),
 	)
 }
@@ -1020,27 +862,6 @@ type sweepLine = campaign.Line
 // `"schema":"tvsched/progress/v1"` is the discriminator.
 const ProgressSchema = campaign.ProgressSchema
 
-// classFor folds one resolved answer into the campaign provenance classes the
-// progress accounting speaks. Cells whose bytes came from the cluster
-// (forwarded to the owner or read through a peer) count as stolen — another
-// node paid for the simulation.
-func classFor(ans answer) campaign.Class {
-	switch {
-	case ans.err != nil:
-		return campaign.ClassError
-	case ans.outcome == obs.ServeHit:
-		return campaign.ClassHit
-	case ans.outcome == obs.ServeShared:
-		return campaign.ClassShared
-	case ans.src == srcForward || ans.src == srcPeer:
-		return campaign.ClassStolen
-	case ans.restored:
-		return campaign.ClassRestored
-	default:
-		return campaign.ClassCold
-	}
-}
-
 // cellRunner adapts the server's result pipeline (LRU → singleflight → store
 // → cluster → local simulation) to the campaign executor: one runner call is
 // one cell resolved through s.result with sweep-cell admission (admit=false —
@@ -1054,12 +875,12 @@ func (s *Server) cellRunner(route obs.ServeRoute, parent span.Context, checkpoin
 		cs.SetAttr("index", strconv.Itoa(cell.Index))
 		cellStart := time.Now()
 		ans := s.result(ctx, cell.Config, false, checkpoint, false, cs)
-		cs.SetAttr("outcome", ans.provenance())
+		cs.SetAttr("outcome", ans.label())
 		cs.End()
 		s.sm.Outcome(ans.outcome)
 		s.sm.ObserveRequest(route, ans.outcome, uint64(time.Since(cellStart).Microseconds()))
 		return campaign.CellResult{
-			Class: classFor(ans),
+			Class: campaign.ClassOf(ans.prov, ans.err),
 			Cache: ans.outcome.String(),
 			Body:  ans.body,
 			Err:   ans.err,

@@ -18,23 +18,24 @@ import (
 
 	"tvsched"
 	"tvsched/internal/obs"
+	"tvsched/internal/resolve"
 )
 
 // stubRunner returns a deterministic fake result derived from the config,
 // counting invocations. When gate is non-nil every run blocks on it first,
 // so tests can hold simulations in flight.
 func stubRunner(runs *atomic.Int64, gate chan struct{}) Runner {
-	return func(ctx context.Context, cfg tvsched.Config, checkpoint bool) (tvsched.Result, RunInfo, error) {
+	return func(ctx context.Context, cfg tvsched.Config, checkpoint bool) (tvsched.Result, resolve.Source, error) {
 		runs.Add(1)
 		if gate != nil {
 			select {
 			case <-gate:
 			case <-ctx.Done():
-				return tvsched.Result{}, RunInfo{}, ctx.Err()
+				return tvsched.Result{}, resolve.Cold, ctx.Err()
 			}
 		}
 		st := tvsched.PipeStats{Committed: cfg.Instructions, Cycles: cfg.Instructions*2 + cfg.Seed}
-		return tvsched.Result{IPC: st.IPC(), Stats: st}, RunInfo{}, nil
+		return tvsched.Result{IPC: st.IPC(), Stats: st}, resolve.Cold, nil
 	}
 }
 
@@ -92,13 +93,7 @@ func TestSingleflightCollapses(t *testing.T) {
 	// Hold the gate until the leader is computing, then let everything
 	// through; followers either share the flight or hit the cache.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.mu.Lock()
-		launched := len(s.flight) > 0
-		s.mu.Unlock()
-		if launched || time.Now().After(deadline) {
-			break
-		}
+	for runs.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	close(gate)
@@ -341,11 +336,11 @@ func TestSweepCheckpointByteIdentical(t *testing.T) {
 	if !bytes.Equal(cold, warm) {
 		t.Fatalf("checkpointed sweep differs from cold sweep:\n%s\nvs\n%s", warm, cold)
 	}
-	if n := coldSrv.snapCache.len(); n != 0 {
+	if n := coldSrv.snaps.Memo.Len(); n != 0 {
 		t.Fatalf("cold server populated the snapshot cache (%d entries)", n)
 	}
 	// One benchmark × one seed ⇒ one warm key shared by all six cells.
-	if n := warmSrv.snapCache.len(); n != 1 {
+	if n := warmSrv.snaps.Memo.Len(); n != 1 {
 		t.Fatalf("snapshot cache holds %d entries, want 1 shared across the sweep", n)
 	}
 	// Sanity: the stream is real reports in pinned order.
@@ -398,9 +393,9 @@ func TestBadRequests(t *testing.T) {
 // TestRunTimeout bounds a runaway simulation with the server's per-run
 // budget and maps the expiry to 503.
 func TestRunTimeout(t *testing.T) {
-	hang := func(ctx context.Context, cfg tvsched.Config, checkpoint bool) (tvsched.Result, RunInfo, error) {
+	hang := func(ctx context.Context, cfg tvsched.Config, checkpoint bool) (tvsched.Result, resolve.Source, error) {
 		<-ctx.Done()
-		return tvsched.Result{}, RunInfo{}, ctx.Err()
+		return tvsched.Result{}, resolve.Cold, ctx.Err()
 	}
 	_, ts := newTestServer(t, Config{Workers: 1, RunTimeout: 20 * time.Millisecond, Runner: hang})
 	resp, body := postRun(t, ts.URL, RunRequest{Benchmark: "bzip2", Instructions: 1000})
@@ -437,32 +432,6 @@ func TestReadyzDrain(t *testing.T) {
 	}
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestLRUEviction pins the cache's bound and recency behaviour.
-func TestLRUEviction(t *testing.T) {
-	c := newLRU(2)
-	c.put("a", []byte("A"))
-	c.put("b", []byte("B"))
-	if _, ok := c.get("a"); !ok { // refresh a: b is now coldest
-		t.Fatal("a missing")
-	}
-	c.put("c", []byte("C"))
-	if _, ok := c.get("b"); ok {
-		t.Fatal("b should have been evicted as the coldest entry")
-	}
-	for _, k := range []string{"a", "c"} {
-		if _, ok := c.get(k); !ok {
-			t.Fatalf("%s missing after eviction", k)
-		}
-	}
-	if c.len() != 2 {
-		t.Fatalf("len %d, want 2", c.len())
-	}
-	c.put("a", []byte("A2")) // refresh-in-place must not grow the cache
-	if b, _ := c.get("a"); string(b) != "A2" || c.len() != 2 {
-		t.Fatalf("refresh broke: %q len %d", b, c.len())
 	}
 }
 
@@ -607,38 +576,28 @@ func TestSnapshotFollowerReleads(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
 	var produces atomic.Int64
-	s.snapProduce = func(ctx context.Context, cfg tvsched.Config) ([]byte, error) {
+	produce := func(ctx context.Context) ([]byte, resolve.Source, error) {
 		if produces.Add(1) == 1 {
 			<-ctx.Done() // the doomed leader: blocks until its client leaves
-			return nil, ctx.Err()
+			return nil, resolve.None, ctx.Err()
 		}
-		return []byte("warm"), nil
-	}
-	cfg, err := (&RunRequest{Benchmark: "bzip2", Instructions: 1000}).Config()
-	if err != nil {
-		t.Fatal(err)
+		return []byte("warm"), resolve.None, nil
 	}
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, err := s.warmSnapshot(leaderCtx, cfg, "k")
+		_, _, err := s.snaps.Do(leaderCtx, "k", nil, produce)
 		leaderErr <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.snapMu.Lock()
-		inFlight := len(s.snapFlight) > 0
-		s.snapMu.Unlock()
-		if inFlight || time.Now().After(deadline) {
-			break
-		}
+	for produces.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 
 	followerRes := make(chan []byte, 1)
 	go func() {
-		b, err := s.warmSnapshot(context.Background(), cfg, "k")
+		b, _, err := s.snaps.Do(context.Background(), "k", nil, produce)
 		if err != nil {
 			t.Errorf("follower inherited the leader's death: %v", err)
 		}
@@ -658,34 +617,8 @@ func TestSnapshotFollowerReleads(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("follower wedged after the leader's context died")
 	}
-	if b, ok := s.snapCache.get("k"); !ok || string(b) != "warm" {
+	if b, ok := s.snaps.Memo.Get("k"); !ok || string(b) != "warm" {
 		t.Fatalf("snapshot cache not populated by the re-led production (ok=%v)", ok)
-	}
-}
-
-// TestLRUClampAndKeys pins the max<1 clamp and the hottest-first keys order
-// the anti-entropy sampler reads.
-func TestLRUClampAndKeys(t *testing.T) {
-	c := newLRU(0) // nonsense bound clamps to 1
-	c.put("a", []byte("A"))
-	c.put("b", []byte("B"))
-	if c.len() != 1 {
-		t.Fatalf("len %d after clamped insert, want 1", c.len())
-	}
-	if _, ok := c.get("a"); ok {
-		t.Fatal("clamped cache kept two entries")
-	}
-
-	c = newLRU(3)
-	c.put("a", nil)
-	c.put("b", nil)
-	c.put("c", nil)
-	if got := c.keys(); len(got) != 3 || got[0] != "c" || got[1] != "b" || got[2] != "a" {
-		t.Fatalf("keys %v, want hottest-first [c b a]", got)
-	}
-	c.get("a") // refresh: a is hottest now
-	if got := c.keys(); got[0] != "a" {
-		t.Fatalf("keys %v after refresh, want a first", got)
 	}
 }
 
@@ -718,7 +651,7 @@ func TestSweepThrashesTinySnapshotCache(t *testing.T) {
 	if n != 6 {
 		t.Fatalf("%d cells, want 6", n)
 	}
-	if got := srv.snapCache.len(); got != 1 {
+	if got := srv.snaps.Memo.Len(); got != 1 {
 		t.Fatalf("snapshot cache len %d, want the bound of 1", got)
 	}
 }
