@@ -109,20 +109,44 @@ func stageWeight(s isa.Stage) float64 {
 	}
 }
 
+// Hash salts of the per-(PC,stage) draws.
+const (
+	saltTail     = iota // tail membership
+	saltSeverity        // position within the tail
+	saltComfort         // position within the comfortable band
+	numSalts
+)
+
 // Model derives per-(PC,stage) margins and evaluates violations.
 type Model struct {
 	cfg Config
+	// key[salt][stage] is Seed ^ Mix(stage + 0x1000·salt), the part of every
+	// per-(PC,stage) hash that does not depend on the PC.
+	key [numSalts][isa.NumStages]uint64
+	// pTail[stage] is the unperturbed tail-membership probability,
+	// TailFraction·Bias·stageWeight(stage).
+	pTail [isa.NumStages]float64
 }
 
 // New builds a fault model.
-func New(cfg Config) *Model { return &Model{cfg: cfg} }
+func New(cfg Config) *Model {
+	m := &Model{cfg: cfg}
+	for s := isa.Stage(0); s < isa.NumStages; s++ {
+		for salt := range m.key {
+			m.key[salt][s] = cfg.Seed ^ rng.Mix(uint64(s)+0x1000*uint64(salt))
+		}
+		m.pTail[s] = cfg.TailFraction * cfg.Bias * stageWeight(s)
+	}
+	return m
+}
 
 // Config returns the model configuration.
 func (m *Model) Config() Config { return m.cfg }
 
-// hash01 returns a stable uniform value in [0,1) for a composite key.
-func (m *Model) hash01(pc uint64, stage isa.Stage, salt uint64) float64 {
-	h := rng.Mix(m.cfg.Seed ^ rng.Mix(pc) ^ rng.Mix(uint64(stage)+0x1000*salt))
+// hash01 returns a stable uniform value in [0,1) for (pc, stage, salt), given
+// mpc = rng.Mix(pc).
+func (m *Model) hash01(mpc uint64, stage isa.Stage, salt int) float64 {
+	h := rng.Mix(mpc ^ m.key[salt][stage])
 	return float64(h>>11) / (1 << 53)
 }
 
@@ -140,27 +164,41 @@ func (m *Model) Margin(pc uint64, stage isa.Stage) float64 {
 // (never reshuffle) the stationary fault population. tailScale == 1 is
 // bit-identical to the unperturbed model.
 func (m *Model) marginAt(pc uint64, stage isa.Stage, tailScale float64) float64 {
-	pTail := m.cfg.TailFraction * m.cfg.Bias * stageWeight(stage) * tailScale
-	u := m.hash01(pc, stage, 0)
-	if u < pTail {
-		// Near-critical tail: position within [tailLo, tailHi] from an
-		// independent hash so tail membership and severity are uncorrelated.
-		v := m.hash01(pc, stage, 1)
-		return tailLo + v*(tailHi-tailLo)
+	mpc := rng.Mix(pc)
+	if m.inTail(mpc, stage, tailScale) {
+		return m.tailMargin(mpc, stage)
 	}
 	// Comfortable paths: 0.45–0.80 of the cycle.
-	return 0.45 + 0.35*m.hash01(pc, stage, 2)
+	return 0.45 + 0.35*m.hash01(mpc, stage, saltComfort)
+}
+
+// inTail reports whether (pc, stage) is near-critical under tailScale.
+func (m *Model) inTail(mpc uint64, stage isa.Stage, tailScale float64) bool {
+	return m.hash01(mpc, stage, saltTail) < m.pTail[stage]*tailScale
+}
+
+// tailMargin is the margin of a near-critical pair: its position within
+// [tailLo, tailHi] comes from an independent hash, so tail membership and
+// severity are uncorrelated.
+func (m *Model) tailMargin(mpc uint64, stage isa.Stage) float64 {
+	return tailLo + m.hash01(mpc, stage, saltSeverity)*(tailHi-tailLo)
 }
 
 // Violates reports whether the dynamic instance (identified by seq) of
 // instruction pc incurs a timing violation in stage under environment env.
 // The decision applies the paper's µ+2σ criterion with the instance's
 // operand-dependent jitter.
+//
+// Only near-critical pairs can violate. Comfortable margins (below 0.80) are
+// far from critical by construction and never violate, hazard or not, while
+// every tail margin is at least tailLo. The tail-membership draw therefore
+// settles almost every call before any margin is computed.
 func (m *Model) Violates(pc uint64, stage isa.Stage, env *Env, seq uint64) bool {
-	margin := m.marginAt(pc, stage, env.TailScale())
-	if margin < 0.82 {
-		return false // fast path: far from critical at any studied voltage
+	mpc := rng.Mix(pc)
+	if !m.inTail(mpc, stage, env.TailScale()) {
+		return false
 	}
+	margin := m.tailMargin(mpc, stage)
 	jitterU := rng.Mix(m.cfg.Seed ^ rng.Mix(pc^0xfeed) ^ rng.Mix(seq) ^ uint64(stage))
 	// Cheap deterministic approximation of a Gaussian: sum of 4 uniforms,
 	// clamped to ±2σ. The clamp, together with tailHi < 1, guarantees the
@@ -255,12 +293,16 @@ const ReplayScaleLimit = 1.5
 // backs the TEP's sensor gating (§2.1.1): Favorable reports whether
 // conditions admit timing errors at all.
 type Env struct {
-	vdd     float64
-	vScale  float64
-	thermal float64
-	phase   float64
-	walk    float64
-	src     *rng.Source
+	vdd    float64
+	vScale float64
+	// thermal is 1 + 0.002·sin(phase) + walk. Step only advances phase and
+	// walk and marks thermal stale; the first read within a cycle takes the
+	// sine, so cycles nobody reads the thermal factor in skip it.
+	thermal      float64
+	thermalStale bool
+	phase        float64
+	walk         float64
+	src          *rng.Source
 
 	// Hazard state: cycle counts Steps; the perturbation sampled at the
 	// last Step applies until the next. All zero-cost when hazard is nil.
@@ -289,7 +331,13 @@ func (e *Env) Cycle() uint64 { return e.cycle }
 
 // Thermal returns the current thermal delay factor (1 ± 0.4%). Exposed so
 // tests can pin that voltage retargets never disturb the thermal transient.
-func (e *Env) Thermal() float64 { return e.thermal }
+func (e *Env) Thermal() float64 {
+	if e.thermalStale {
+		e.thermal = 1 + 0.002*math.Sin(e.phase) + e.walk
+		e.thermalStale = false
+	}
+	return e.thermal
+}
 
 // SetHazard attaches (or, with nil, detaches) a hazard timeline. The next
 // Step samples it; detaching restores the neutral perturbation immediately.
@@ -317,7 +365,7 @@ func (e *Env) Step() {
 	} else if e.walk < -0.002 {
 		e.walk = -0.002
 	}
-	e.thermal = 1 + 0.002*math.Sin(e.phase) + e.walk
+	e.thermalStale = true
 	if e.hazard != nil {
 		e.pert = e.hazard.At(e.cycle)
 	}
@@ -327,9 +375,9 @@ func (e *Env) Step() {
 // hazard) relative to nominal conditions.
 func (e *Env) DelayScale() float64 {
 	if e.hazard == nil {
-		return e.vScale * e.thermal
+		return e.vScale * e.Thermal()
 	}
-	return e.vScale * e.thermal * e.pert.Delay
+	return e.vScale * e.Thermal() * e.pert.Delay
 }
 
 // TailScale returns the hazard's current TailFraction multiplier (1 when no

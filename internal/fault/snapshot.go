@@ -23,7 +23,7 @@ func (e *Env) AppendState(w *snap.Writer) error {
 		return ErrHazardSnapshot
 	}
 	w.F64(e.vdd)
-	w.F64(e.thermal)
+	w.F64(e.Thermal())
 	w.F64(e.phase)
 	w.F64(e.walk)
 	w.U64(e.cycle)
@@ -41,6 +41,7 @@ func (e *Env) ReadState(r *snap.Reader) error {
 	}
 	e.vdd = r.F64()
 	e.thermal = r.F64()
+	e.thermalStale = false
 	e.phase = r.F64()
 	e.walk = r.F64()
 	e.cycle = r.U64()

@@ -100,6 +100,13 @@ type Session struct {
 	prof workload.Profile // zero for asm sessions
 	p    *pipeline.Pipeline
 
+	// owesPrefill marks the L2 working-set prefill of warmBase/warmSize as
+	// still to be done. New defers it to the first simulated cycle (see
+	// payPrefill), and a successful Restore cancels it: the snapshot
+	// rewrites every L2 set, so a restored session never pays for it.
+	owesPrefill        bool
+	warmBase, warmSize uint64
+
 	warmed     bool // a warmup phase has completed
 	neutral    bool // the warm state was produced at the nominal supply
 	retargeted bool // the measurement supply is in force
@@ -129,8 +136,22 @@ func New(cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.PrefillData(gen.WarmRegion())
-	return &Session{cfg: cfg, prof: prof, p: p, retargeted: true}, nil
+	s := &Session{cfg: cfg, prof: prof, p: p, retargeted: true, owesPrefill: true}
+	s.warmBase, s.warmSize = gen.WarmRegion()
+	return s, nil
+}
+
+// payPrefill installs the benchmark's warm data region into the L2 — a
+// measured phase's working set was touched earlier in the program, so
+// SimPoint phases never start from a cold L2 — if the session still owes it.
+// Every simulating entry point calls it first. Nothing between New and the
+// first simulated cycle reads the caches, so the machine is exactly the one
+// an eager prefill in New would have built.
+func (s *Session) payPrefill() {
+	if s.owesPrefill {
+		s.p.PrefillData(s.warmBase, s.warmSize)
+		s.owesPrefill = false
+	}
 }
 
 // NewAsm builds a session whose instruction stream comes from a kernel in
@@ -162,6 +183,7 @@ func NewAsm(cfg Config, source string, init func(m *asm.Machine)) (*Session, err
 // cannot feed the shared snapshot cache — use WarmupNeutral for that.
 func (s *Session) Warmup(ctx context.Context) error {
 	defer s.phase("warmup")()
+	s.payPrefill()
 	if err := s.p.WarmupContext(ctx, s.cfg.Warmup); err != nil {
 		return err
 	}
@@ -187,6 +209,7 @@ func (s *Session) phase(name string) func() {
 // share it across sweep cells.
 func (s *Session) WarmupNeutral(ctx context.Context) error {
 	defer s.phase("warmup_neutral")()
+	s.payPrefill()
 	s.p.SetVDD(fault.VNominal)
 	if err := s.p.WarmupContext(ctx, s.cfg.Warmup); err != nil {
 		return err
@@ -216,7 +239,8 @@ func (s *Session) Snapshot() ([]byte, error) {
 // from a session with the same benchmark, seed, warmup and machine geometry
 // — WarmKey captures exactly this compatibility class; the pipeline
 // additionally verifies geometry field by field. After Restore the session
-// behaves as if WarmupNeutral had just completed.
+// behaves as if WarmupNeutral had just completed. A successful Restore
+// cancels the L2 prefill New deferred.
 func (s *Session) Restore(snapshot []byte) error {
 	defer s.phase("restore")()
 	if s.warmed || s.measured {
@@ -225,6 +249,7 @@ func (s *Session) Restore(snapshot []byte) error {
 	if err := s.p.RestoreState(snapshot); err != nil {
 		return err
 	}
+	s.owesPrefill = false
 	s.warmed = true
 	s.neutral = true
 	s.retargeted = s.cfg.VDD == fault.VNominal
@@ -236,6 +261,7 @@ func (s *Session) Restore(snapshot []byte) error {
 // neutral — and returns the statistics accumulated since the warm boundary.
 func (s *Session) Run(ctx context.Context, n uint64) (pipeline.Stats, error) {
 	defer s.phase("run")()
+	s.payPrefill()
 	if !s.retargeted {
 		s.p.SetVDD(s.cfg.VDD)
 		s.retargeted = true
