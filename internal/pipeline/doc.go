@@ -28,6 +28,14 @@
 //   - execDoneAt — when a branch resolves;
 //   - completeAt — when it may retire.
 //
+// These times count on a machine clock that does not tick in global-freeze
+// cycles, so an EP pad or replay bubble delays every one of them without
+// touching any. The real clock keeps everything observable: Stats, observer
+// payloads (a machine time is written out plus the frozen-cycle count),
+// supervisor windows, the fetch redirect and the FUSR lane reservations. A
+// load's fill time is on the machine clock only while the load is in the ROB
+// (DESIGN.md §7).
+//
 // Each cycle runs retire → issue → dispatch → fetch (reverse pipe order), so
 // resources freed in one cycle are visible the next.
 //
@@ -58,11 +66,21 @@
 //
 // # Structures
 //
-// ROB (ring buffer), issue queue (unordered slice; the select stage orders
-// candidates by the active policy each cycle), load/store queue occupancy
-// with exact-address store-to-load forwarding, physical-register free
-// counter (NumPhys − 32 in-flight destinations), a rename table mapping
+// ROB (ring buffer), an issue queue woken by event, load/store queue
+// occupancy with exact-address store-to-load forwarding, physical-register
+// free counter (NumPhys − 32 in-flight destinations), a rename table mapping
 // architectural registers to in-flight producers, and the FUSR lane state
 // (internal/core). Loads remember their cache-fill completion time across
 // squashes so replay cannot erase miss latency already in flight.
+//
+// The issue queue is never scanned. Rename links each source to its
+// producer if that has not issued yet, and files the consumer in the
+// producer's chain of waiting consumers. When the producer issues, its
+// depReadyAt is exact (a load's latency is resolved at issue), so it hands
+// the time to its consumers and clears their links; a consumer whose last
+// producer has issued goes onto a timing wheel at the latest broadcast time,
+// and joins the ready list, kept in dispatch order, when the machine clock
+// reaches it. Select orders only the ready list by the active policy, and
+// the CDL's tag-match count is the length of the producer's chain. A full
+// flush rebuilds the chains, wheel and ready list from the survivors.
 package pipeline

@@ -22,21 +22,32 @@ type dynInst struct {
 	faultStage isa.Stage // the violating stage (most critical if several)
 	mispredict bool      // oracle decision: branch pays the mispredict loop
 	replaySafe bool      // set after a replay; re-execution cannot fault
-	fillAt     uint64    // absolute cycle a load's cache fill completes; a
-	// replayed load pays only the remaining latency (the miss it initiated
-	// keeps being serviced while the pipeline recovers)
+	// fillAt is the cycle a load's cache fill completes: on the machine
+	// clock while the load is in the ROB, on the real clock outside it (see
+	// Pipeline.squash). A replayed load pays only the remaining latency (the
+	// miss it initiated keeps being serviced while the pipeline recovers).
+	fillAt uint64
 
 	// Front-end state.
-	availAt uint64 // cycle at which dispatch may consume it
+	availAt uint64 // machine cycle at which dispatch may consume it
 	history uint64 // branch history at (re)fetch, for TEP indexing
 	pred    tep.Prediction
 
-	// Issue-queue state.
-	inIQ      bool
+	// Issue-queue state. A dispatched, unissued instruction waits in
+	// exactly one place: the consumer chain of each of its unissued
+	// producers (waits > 0), the timing-wheel slot of readyAt (its last
+	// producer has issued and broadcasts its tag later), or the ready list.
 	timestamp uint8       // 6-bit mod-64 allocation stamp (§3.5)
-	src       [2]*dynInst // producers; nil means the operand is ready
+	src       [2]*dynInst // unissued producers; cleared when the producer issues
+	waits     uint8       // distinct unissued producers
+	readyAt   uint64      // latest tag broadcast among its issued producers
+	wakeNext  [2]*dynInst // next consumer in src[k]'s chain
+	consumers *dynInst    // head of this producer's chain of waiting consumers
+	wheelNext *dynInst    // next entry in the same timing-wheel slot
 
-	// Execution state (set at select).
+	// Execution state (set at select). depReadyAt, execDoneAt and
+	// completeAt are on the machine clock (see Pipeline.now); selectedAt
+	// is a real cycle.
 	issued     bool
 	lane       int
 	selectedAt uint64
@@ -51,9 +62,13 @@ type dynInst struct {
 func (d *dynInst) resetPipelineState() {
 	d.availAt = unknown
 	d.pred = tep.Prediction{}
-	d.inIQ = false
 	d.timestamp = 0
 	d.src[0], d.src[1] = nil, nil
+	d.waits = 0
+	d.readyAt = 0
+	d.wakeNext[0], d.wakeNext[1] = nil, nil
+	d.consumers = nil
+	d.wheelNext = nil
 	d.issued = false
 	d.lane = 0
 	// unknown (== obs.NeverIssued) rather than 0: cycle 0 is a valid select
@@ -63,25 +78,6 @@ func (d *dynInst) resetPipelineState() {
 	d.execDoneAt = unknown
 	d.completeAt = unknown
 	d.retired = false
-}
-
-// operandsReady reports whether both sources are available at cycle, and
-// clears producer links that have broadcast (so retired producers can be
-// collected).
-func (d *dynInst) operandsReady(cycle uint64) bool {
-	ready := true
-	for k := 0; k < 2; k++ {
-		p := d.src[k]
-		if p == nil {
-			continue
-		}
-		if p.depReadyAt <= cycle {
-			d.src[k] = nil
-			continue
-		}
-		ready = false
-	}
-	return ready
 }
 
 // predictedAt reports whether the TEP predicted a violation for this

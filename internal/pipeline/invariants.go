@@ -17,8 +17,9 @@ import (
 //   - store-forwarding CAM: the storeAt multiset matches in-flight stores
 //   - ROB:                  ring within capacity, seq strictly increasing,
 //     no retired entries resident
-//   - issue queue:          every entry has inIQ set, is unissued, and is
-//     exactly the set of unissued ROB entries
+//   - issue queue:          its occupancy counts the unissued ROB entries,
+//     and each of them waits in exactly one place of the event wakeup
+//     (see checkWakeup)
 //   - front end:            frontQ within capacity, in fetch order, strictly
 //     younger than the whole ROB
 //   - stall bookkeeping:    replay-cause freeze credit never exceeds the
@@ -46,7 +47,7 @@ func (p *Pipeline) CheckInvariants() error {
 	// One walk over the ROB collects everything the window-side laws need.
 	var (
 		dests, loads, stores int
-		unissued             = make(map[*dynInst]bool)
+		unissued             int
 		storeAt              = make(map[uint64]int)
 		prevSeq              uint64
 		maxSeq               uint64
@@ -76,7 +77,7 @@ func (p *Pipeline) CheckInvariants() error {
 			storeAt[e.in.Addr]++
 		}
 		if !e.issued {
-			unissued[e] = true
+			unissued++
 		}
 	}
 
@@ -121,26 +122,13 @@ func (p *Pipeline) CheckInvariants() error {
 	}
 
 	// The issue queue is exactly the unissued slice of the ROB.
-	if len(p.iq) > p.cfg.IQSize {
-		fail("iq holds %d entries, capacity %d", len(p.iq), p.cfg.IQSize)
+	if p.iqCount > p.cfg.IQSize {
+		fail("iq holds %d entries, capacity %d", p.iqCount, p.cfg.IQSize)
 	}
-	if len(p.iq) != len(unissued) {
-		fail("iq holds %d entries, ROB holds %d unissued", len(p.iq), len(unissued))
+	if p.iqCount != unissued {
+		fail("iq holds %d entries, ROB holds %d unissued", p.iqCount, unissued)
 	}
-	for i, e := range p.iq {
-		if !e.inIQ {
-			fail("iq[%d] (seq %d) has inIQ clear", i, e.seq)
-		}
-		if e.issued {
-			fail("iq[%d] (seq %d) already issued", i, e.seq)
-		}
-		if e.retired {
-			fail("iq[%d] (seq %d) already retired", i, e.seq)
-		}
-		if !unissued[e] {
-			fail("iq[%d] (seq %d) not an unissued ROB entry", i, e.seq)
-		}
-	}
+	p.checkWakeup(fail)
 
 	// Front-end queue: bounded, in fetch order, strictly younger than the ROB.
 	if p.frontCount > p.cfg.FrontQ {
@@ -152,7 +140,7 @@ func (p *Pipeline) CheckInvariants() error {
 			fail("nil frontQ entry at slot %d", i)
 			continue
 		}
-		if e.inIQ || e.issued || e.retired {
+		if e.issued || e.retired || e.src != [2]*dynInst{} {
 			fail("frontQ[%d] (seq %d) already entered the window", i, e.seq)
 		}
 		if i > 0 && p.frontAt(i-1) != nil && e.seq <= p.frontAt(i-1).seq {
@@ -174,6 +162,190 @@ func (p *Pipeline) CheckInvariants() error {
 	return errors.Join(errs...)
 }
 
+// place is where an unissued instruction waits for its operands.
+type place uint8
+
+const (
+	nowhere  place = iota
+	inChains       // some producer has not issued
+	onWheel        // every producer has issued; the last tag broadcasts later
+	inReady        // every producer's tag has broadcast
+)
+
+// checkWakeup verifies the event wakeup against a reference readiness rule
+// computed from the ROB alone: an entry may issue once the producer of each
+// source — the youngest older in-flight writer of that register — has issued
+// and broadcast its tag (depReadyAt <= now). Every unissued ROB entry must
+// wait in exactly one place:
+//
+//   - the ready list, which is in seq order, when every producer's tag has
+//     broadcast by now;
+//   - the wheel slot of readyAt, when its last producer has issued but the
+//     latest of their tags broadcasts later (readyAt is that broadcast);
+//   - otherwise the consumer chain of each of its unissued producers, with
+//     src naming them and waits equal to their count.
+//
+// Issued instructions hold no producer link and no waiting consumer.
+func (p *Pipeline) checkWakeup(fail func(string, ...any)) {
+	robAt := func(i int) *dynInst {
+		if i += p.robHead; i >= p.cfg.ROBSize {
+			i -= p.cfg.ROBSize
+		}
+		return p.rob[i]
+	}
+	// win[i] tracks ROB entry i: where it must wait, and how many times the
+	// ready list and wheel (held) and the consumer chains (chained) hold it.
+	type waiting struct {
+		want          place
+		held, chained uint8
+	}
+	win := make([]waiting, p.robCount)
+	// The wakeup structures may only hold unissued ROB entries, found here
+	// by their seq (the ROB is in seq order); nil for anything else.
+	find := func(e *dynInst) *waiting {
+		lo, hi := 0, len(win)
+		for lo < hi {
+			if mid := (lo + hi) / 2; robAt(mid) != nil && robAt(mid).seq < e.seq {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo < len(win) && robAt(lo) == e && !e.issued {
+			return &win[lo]
+		}
+		return nil
+	}
+
+	var writer [isa.NumArchRegs]*dynInst
+	for i := range win {
+		e := robAt(i)
+		if e == nil {
+			continue
+		}
+		if e.issued {
+			if e.src != [2]*dynInst{} || e.waits != 0 || e.consumers != nil {
+				fail("issued seq %d still linked for wakeup", e.seq)
+			}
+		} else {
+			var src [2]*dynInst
+			var waits uint8
+			var bcast uint64
+			for k, reg := range [2]int8{e.in.Src1, e.in.Src2} {
+				if reg <= 0 {
+					continue
+				}
+				switch w := writer[reg]; {
+				case w == nil:
+				case !w.issued:
+					src[k] = w
+					if k == 0 || src[0] != w {
+						waits++
+					}
+				case w.depReadyAt > bcast:
+					bcast = w.depReadyAt
+				}
+			}
+			win[i].want = inReady
+			switch {
+			case waits > 0:
+				win[i].want = inChains
+				if e.src != src || e.waits != waits {
+					fail("seq %d waits on %d producers (src %v), want %d (src %v)", e.seq, e.waits, e.src, waits, src)
+				}
+			case bcast > p.now:
+				win[i].want = onWheel
+				if e.readyAt != bcast {
+					fail("seq %d wakes at %d, its last producer broadcasts at %d", e.seq, e.readyAt, bcast)
+				}
+			}
+		}
+		if e.in.Dest > 0 {
+			writer[e.in.Dest] = e
+		}
+	}
+
+	for i, e := range p.ready {
+		if i > 0 && e.seq <= p.ready[i-1].seq {
+			fail("ready list not in seq order: %d after %d", e.seq, p.ready[i-1].seq)
+		}
+		w := find(e)
+		switch {
+		case w == nil:
+			fail("ready[%d] (seq %d) is not an unissued ROB entry", i, e.seq)
+			continue
+		case w.want != inReady:
+			fail("stale ready entry: seq %d has a producer whose tag has not broadcast", e.seq)
+		}
+		w.held++
+	}
+	for s, head := range p.wheel {
+		n := 0
+		for e := head; e != nil; e = e.wheelNext {
+			if n++; n > p.cfg.ROBSize {
+				fail("timing-wheel slot %d does not terminate", s)
+				break
+			}
+			if e.readyAt&p.wheelMask != uint64(s) {
+				fail("seq %d in wheel slot %d, wakes at %d", e.seq, s, e.readyAt)
+			}
+			w := find(e)
+			switch {
+			case w == nil:
+				fail("seq %d on the timing wheel is not an unissued ROB entry", e.seq)
+				continue
+			case w.want != onWheel:
+				fail("seq %d on the timing wheel, want place %d", e.seq, w.want)
+			}
+			w.held++
+		}
+	}
+	for i := range win {
+		prod := robAt(i)
+		if prod == nil || prod.issued {
+			continue
+		}
+		n := 0
+		for c := prod.consumers; c != nil; {
+			if n++; n > p.cfg.ROBSize {
+				fail("consumer chain of seq %d does not terminate", prod.seq)
+				break
+			}
+			k := 0
+			if c.src[0] != prod {
+				k = 1
+			}
+			if c.src[k] != prod {
+				fail("seq %d in the consumer chain of seq %d without a link to it", c.seq, prod.seq)
+				break
+			}
+			if w := find(c); w == nil || w.want != inChains {
+				fail("seq %d in the consumer chain of seq %d does not wait on a producer", c.seq, prod.seq)
+			} else {
+				w.chained++
+			}
+			c = c.wakeNext[k]
+		}
+	}
+	for i, w := range win {
+		if w.want == nowhere {
+			continue
+		}
+		e := robAt(i)
+		wantHeld, wantChained := uint8(1), uint8(0)
+		if w.want == inChains {
+			wantHeld, wantChained = 0, e.waits
+		}
+		switch {
+		case w.held == 0 && w.chained == 0:
+			fail("lost wakeup: seq %d (place %d) waits nowhere", e.seq, w.want)
+		case w.held != wantHeld || w.chained != wantChained:
+			fail("seq %d (place %d) is in the ready list and wheel %d times and in consumer chains %d times, want %d and %d",
+				e.seq, w.want, w.held, w.chained, wantHeld, wantChained)
+		}
+	}
+}
+
 // CheckDrained verifies the machine is empty with every resource released —
 // the state a successful run must end in, because the run's fetch budget
 // equals its commit target, so every fetched instruction has committed.
@@ -185,8 +357,13 @@ func (p *Pipeline) CheckDrained() error {
 	if p.robCount != 0 {
 		fail("%d instructions still in the ROB", p.robCount)
 	}
-	if len(p.iq) != 0 {
-		fail("%d instructions still in the issue queue", len(p.iq))
+	if p.iqCount != 0 || len(p.ready) != 0 {
+		fail("%d instructions still in the issue queue (%d ready)", p.iqCount, len(p.ready))
+	}
+	for slot, e := range p.wheel {
+		if e != nil {
+			fail("timing-wheel slot %d still holds seq %d", slot, e.seq)
+		}
 	}
 	if p.frontCount != 0 {
 		fail("%d instructions still in the front-end queue", p.frontCount)

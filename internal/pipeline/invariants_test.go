@@ -44,9 +44,11 @@ func TestDebugInvariantsAllSchemes(t *testing.T) {
 }
 
 // TestCheckInvariantsCatchesCorruption corrupts one bookkeeping structure at
-// a time on a drained machine and checks the checker names each violation.
+// a time and checks the checker names each violation: the resource counters
+// on a drained machine, the event wakeup on one stepped into the middle of a
+// load miss (midFlight).
 func TestCheckInvariantsCatchesCorruption(t *testing.T) {
-	build := func() *Pipeline {
+	drained := func() *Pipeline {
 		p, err := New(DefaultConfig(), allALU(), &injector{stage: isa.Execute, everyN: 10}, fault.VNominal)
 		if err != nil {
 			t.Fatal(err)
@@ -56,24 +58,51 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		}
 		return p
 	}
+	mid := func() *Pipeline { return midFlight(t) }
 	cases := []struct {
 		name    string
+		build   func() *Pipeline
 		corrupt func(p *Pipeline)
 		want    string
 	}{
-		{"phys leak", func(p *Pipeline) { p.freePhys-- }, "phys conservation"},
-		{"loads leak", func(p *Pipeline) { p.loads++ }, "loads counter"},
-		{"stores leak", func(p *Pipeline) { p.stores++ }, "stores counter"},
-		{"storeAt leak", func(p *Pipeline) { p.storeAt[0x123] = 1 }, "storeAt"},
-		{"ghost iq entry", func(p *Pipeline) {
-			d := &dynInst{seq: 999}
+		{"phys leak", drained, func(p *Pipeline) { p.freePhys-- }, "phys conservation"},
+		{"loads leak", drained, func(p *Pipeline) { p.loads++ }, "loads counter"},
+		{"stores leak", drained, func(p *Pipeline) { p.stores++ }, "stores counter"},
+		{"storeAt leak", drained, func(p *Pipeline) { p.storeAt[0x123] = 1 }, "storeAt"},
+		{"replay credit", drained, func(p *Pipeline) { p.globalFreezeReplay = p.globalFreeze + 1 }, "freeze credit"},
+		{"ghost ready entry", mid, func(p *Pipeline) {
+			d := &dynInst{seq: 1 << 40}
 			d.resetPipelineState()
-			p.iq = append(p.iq, d)
-		}, "iq"},
-		{"replay credit", func(p *Pipeline) { p.globalFreezeReplay = p.globalFreeze + 1 }, "freeze credit"},
+			p.ready = append(p.ready, d)
+		}, "not an unissued ROB entry"},
+		{"iq occupancy leak", mid, func(p *Pipeline) { p.iqCount++ }, "unissued"},
+		{"lost wakeup (wheel)", mid, func(p *Pipeline) {
+			for i, e := range p.wheel {
+				if e != nil {
+					p.wheel[i] = e.wheelNext
+					return
+				}
+			}
+		}, "lost wakeup"},
+		{"lost wakeup (chain)", mid, func(p *Pipeline) {
+			for i := 0; i < p.robCount; i++ {
+				if w := p.rob[(p.robHead+i)%p.cfg.ROBSize]; w.consumers != nil {
+					w.consumers = nil
+					return
+				}
+			}
+		}, "lost wakeup"},
+		{"stale ready entry", mid, func(p *Pipeline) {
+			for i := 0; i < p.robCount; i++ {
+				if w := p.rob[(p.robHead+i)%p.cfg.ROBSize]; w.consumers != nil {
+					p.ready = append(p.ready, w.consumers)
+					return
+				}
+			}
+		}, "stale ready entry"},
 	}
 	for _, c := range cases {
-		p := build()
+		p := c.build()
 		if err := p.CheckInvariants(); err != nil {
 			t.Fatalf("%s: clean machine fails: %v", c.name, err)
 		}
@@ -85,6 +114,50 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
 	}
+}
+
+// missSource is a load that misses to memory, a consumer reading it on both
+// operands, a second-level consumer, and an independent multiply, repeated.
+// Later copies of the load hit the line the first one brought in.
+func missSource() *sliceSource {
+	insts := []isa.Inst{
+		{Class: isa.Load, Dest: 1, Src1: 28, Src2: -1, Addr: 0x9000_0000},
+		{Class: isa.IntALU, Dest: 2, Src1: 1, Src2: 1},
+		{Class: isa.IntALU, Dest: 3, Src1: 2, Src2: 28},
+		{Class: isa.IntMul, Dest: 4, Src1: 28, Src2: 29},
+	}
+	for i := range insts {
+		insts[i].PC = uint64(0x400000 + 4*i)
+		insts[i].NextPC = uint64(0x400000 + 4*((i+1)%len(insts)))
+	}
+	return &sliceSource{insts: insts}
+}
+
+// midFlight steps a machine until the first load's miss holds its consumers
+// back: one waits on the timing wheel for the load's tag and another in the
+// consumer chain of that still-unissued consumer.
+func midFlight(t *testing.T) *Pipeline {
+	t.Helper()
+	p, err := New(DefaultConfig(), missSource(), &injector{stage: isa.Execute, everyN: 1 << 60}, fault.VNominal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.fetchLimit = 1 << 20
+	for i := 0; i < 400; i++ {
+		p.step()
+		onWheel, chained := false, false
+		for _, e := range p.wheel {
+			onWheel = onWheel || e != nil
+		}
+		for j := 0; j < p.robCount; j++ {
+			chained = chained || p.rob[(p.robHead+j)%p.cfg.ROBSize].consumers != nil
+		}
+		if onWheel && chained {
+			return p
+		}
+	}
+	t.Fatal("no cycle had both a wheel entry and a waiting consumer chain")
+	return nil
 }
 
 // TestOccupancyStatsMatchEventSeries is the regression test for the
@@ -259,48 +332,67 @@ func TestWarmupResidueBugDetectedByAuditor(t *testing.T) {
 	}
 }
 
-// TestCDSCriticalityScanSkipsGrantedEntries pins the CDS fix: the §3.5.2
-// dependent count must cover waiting consumers only, not entries granted
-// earlier in the same selectIssue pass (still physically present in p.iq
-// because compaction happens after the grant loop).
-func TestCDSCriticalityScanSkipsGrantedEntries(t *testing.T) {
-	build := func(ct int) (*Pipeline, *dynInst) {
+// TestCDLCountsDistinctWaitingConsumers pins the CDS tag-match count of
+// §3.5.2 by behaviour: when a producer is selected, the CDL counts the
+// distinct consumers waiting in the issue queue on it. A consumer reading it
+// on both operands counts once, and consumers renamed after it issued — or
+// already granted — are not waiting and do not count.
+func TestCDLCountsDistinctWaitingConsumers(t *testing.T) {
+	marks := func(ct int, insts []isa.Inst) uint64 {
+		t.Helper()
+		for i := range insts {
+			insts[i].PC = uint64(0x400000 + 4*i)
+			insts[i].NextPC = uint64(0x400000 + 4*(i+1))
+		}
 		cfg := DefaultConfig()
 		cfg.Scheme = core.CDS
 		cfg.CT = ct
-		p, err := New(cfg, allALU(), &injector{stage: isa.Execute, everyN: 1 << 60}, fault.VNominal)
+		cfg.Debug = true
+		p, err := New(cfg, &sliceSource{insts: insts}, &injector{stage: isa.Execute, everyN: 1 << 60}, fault.VNominal)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prod := &dynInst{seq: 10, in: isa.Inst{PC: 0x400000, Class: isa.IntALU, Dest: 3, Src1: 28, Src2: -1}}
-		prod.resetPipelineState()
-		prod.inIQ = true
-		// One dependent granted earlier in this same pass (inIQ already
-		// cleared, still resident in the slice) and one still waiting.
-		granted := &dynInst{seq: 11, in: isa.Inst{PC: 0x400010, Class: isa.IntALU, Dest: 4, Src1: 3, Src2: -1}}
-		granted.resetPipelineState()
-		granted.src[0] = prod
-		granted.issued = true
-		waiting := &dynInst{seq: 12, in: isa.Inst{PC: 0x400020, Class: isa.IntALU, Dest: 5, Src1: 3, Src2: -1}}
-		waiting.resetPipelineState()
-		waiting.src[0] = prod
-		waiting.inIQ = true
-		p.iq = []*dynInst{granted, waiting}
-		return p, prod
+		st, err := p.Run(uint64(len(insts)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.CriticalMarks
 	}
 
-	// CT=2: with the granted entry wrongly counted the producer would be
-	// marked critical; only the waiting dependent may count.
-	p, prod := build(2)
-	p.issueInst(prod, 0)
-	if p.stats.CriticalMarks != 0 {
-		t.Fatalf("granted same-pass entry counted as a waiting dependent: %d marks", p.stats.CriticalMarks)
+	// r2 waits behind a load miss while three consumers dispatch behind it:
+	// one reads r2 on both operands, one on Src1, one on Src2. The load and
+	// the consumers have one waiting consumer each, so only r2 can reach a
+	// threshold of 3, and it does with three distinct consumers, not four.
+	waiting := func() []isa.Inst {
+		return []isa.Inst{
+			{Class: isa.Load, Dest: 1, Src1: 28, Src2: -1, Addr: 0x9000_0000},
+			{Class: isa.IntALU, Dest: 2, Src1: 1, Src2: 28},
+			{Class: isa.IntALU, Dest: 3, Src1: 2, Src2: 2},
+			{Class: isa.IntALU, Dest: 4, Src1: 2, Src2: 28},
+			{Class: isa.IntALU, Dest: 5, Src1: 28, Src2: 2},
+			{Class: isa.IntALU, Dest: 6, Src1: 3, Src2: 28},
+		}
 	}
-	// CT=1: the genuine waiting dependent alone must still trip the CDL.
-	p, prod = build(1)
-	p.issueInst(prod, 0)
-	if p.stats.CriticalMarks != 1 {
-		t.Fatalf("waiting dependent not counted: %d marks", p.stats.CriticalMarks)
+	if n := marks(3, waiting()); n != 1 {
+		t.Errorf("CT=3 with three distinct waiting consumers: %d critical marks, want 1", n)
+	}
+	if n := marks(4, waiting()); n != 0 {
+		t.Errorf("CT=4: %d critical marks, want 0 (a both-operand consumer counts once)", n)
+	}
+
+	// A divide issues the cycle after it dispatches, ahead of its consumers
+	// in the next dispatch group; they rename while its twelve-cycle result
+	// is outstanding, but never waited in the queue for its issue.
+	late := []isa.Inst{
+		{Class: isa.IntDiv, Dest: 7, Src1: 28, Src2: 29},
+		{Class: isa.IntALU, Dest: 20, Src1: 28, Src2: 29},
+		{Class: isa.IntALU, Dest: 21, Src1: 28, Src2: 29},
+		{Class: isa.IntALU, Dest: 22, Src1: 28, Src2: 29},
+		{Class: isa.IntALU, Dest: 8, Src1: 7, Src2: 28},
+		{Class: isa.IntALU, Dest: 9, Src1: 7, Src2: 7},
+	}
+	if n := marks(1, late); n != 0 {
+		t.Errorf("consumers renamed after their producer issued counted: %d critical marks, want 0", n)
 	}
 }
 

@@ -65,7 +65,16 @@ type Pipeline struct {
 	supSavedVDD float64     // supply to restore when leaving the top rung
 	supHot      uint64      // unpredicted count that closes a window early
 
+	// cycle is the real clock: stats, supervisor windows, the watchdog,
+	// hazard timelines, fetchResumeAt, the FUSR lane reservations and every
+	// observer payload count in it. now is the machine clock, which ticks in
+	// every cycle except global freezes: in-flight per-instruction times
+	// (availAt, depReadyAt, execDoneAt, completeAt, readyAt, and fillAt
+	// inside the ROB) count in it, so a freeze delays them all without
+	// touching any. cycle-now is the number of frozen cycles so far, which
+	// converts a machine time to the real cycle it falls on.
 	cycle uint64
+	now   uint64
 	seq   uint64
 	stats Stats
 
@@ -87,13 +96,26 @@ type Pipeline struct {
 	rob      []*dynInst // ring buffer
 	robHead  int
 	robCount int
-	iq       []*dynInst
 	iqAlloc  uint8
 	writers  [isa.NumArchRegs]*dynInst
 	freePhys int
 	loads    int
 	stores   int
 	storeAt  map[uint64]int // in-flight store addresses (LSQ forwarding CAM)
+
+	// Issue queue, woken by event rather than scanned (see dynInst). iqCount
+	// is its occupancy: dispatched, unissued instructions. ready holds the
+	// operand-ready entries in seq (dispatch) order. wheel is a timing
+	// wheel on the machine clock: slot t&wheelMask chains the entries whose
+	// last producer broadcasts its tag at machine cycle t.
+	iqCount   int
+	ready     []*dynInst
+	wheel     []*dynInst
+	wheelMask uint64
+	// examined counts the wakeup work: wheel-slot entries visited, ready
+	// entries offered to select, and consumer-chain entries woken. It is
+	// not a Stats field, so no report moves; tests read it.
+	examined uint64
 
 	// Violation handling. The *Replay counters track the subset of queued
 	// freeze cycles owed to replay recovery (vs predicted-violation
@@ -141,7 +163,8 @@ func New(cfg Config, src Source, model FaultOracle, vdd float64) (*Pipeline, err
 		cdl:           core.CDL{CT: cfg.CT},
 		rob:           make([]*dynInst, cfg.ROBSize),
 		frontQ:        make([]*dynInst, cfg.FrontQ),
-		iq:            make([]*dynInst, 0, cfg.IQSize),
+		ready:         make([]*dynInst, 0, cfg.IQSize),
+		wheel:         make([]*dynInst, wheelSize(cfg)),
 		cands:         make([]core.Candidate, 0, cfg.IQSize),
 		freePhys:      cfg.NumPhys - isa.NumArchRegs,
 		storeAt:       make(map[uint64]int),
@@ -149,6 +172,7 @@ func New(cfg Config, src Source, model FaultOracle, vdd float64) (*Pipeline, err
 		samplePeriod:  cfg.SamplePeriod,
 		scheme:        cfg.Scheme,
 	}
+	p.wheelMask = uint64(len(p.wheel) - 1)
 	// dynInst arena: in the default (selective-replay) recovery mode at most
 	// ROBSize + FrontQ instructions are resident, plus one pending fetch, one
 	// deferred fetch blocker, and a retire group awaiting recycling. Full-flush
@@ -408,21 +432,23 @@ func (p *Pipeline) step() {
 	// hide exactly the congested phases worth looking at.
 	if p.obs != nil && p.cycle%p.samplePeriod == 0 {
 		p.obs.Event(obs.Event{Kind: obs.KindSample, Cycle: p.cycle,
-			A: uint64(len(p.iq)), B: uint64(p.robCount)})
+			A: uint64(p.iqCount), B: uint64(p.robCount)})
 	}
 
 	// Occupancy sums accumulate every cycle, stall cycles included: the
 	// window contents are frozen, not gone, and MeanIQOcc/MeanROBOcc divide
 	// by total Cycles. Skipping stall cycles would understate occupancy for
 	// stall-heavy schemes (EP) and disagree with the KindSample series.
-	p.stats.SumIQOcc += uint64(len(p.iq))
+	p.stats.SumIQOcc += uint64(p.iqCount)
 	p.stats.SumROBOcc += uint64(p.robCount)
 	p.stats.SumFrontQ += uint64(p.frontCount)
 
 	// EP whole-pipeline stall: the faulty stage completes in two cycles
 	// while every other stage recirculates its inputs (§2.2, §5). The stall
 	// is a true machine-wide freeze — every in-flight completion, including
-	// outstanding cache fills, slips by the stall cycle.
+	// outstanding cache fills, slips by the stall cycle. The machine clock
+	// does not tick, which slips everything timed on it at once; the
+	// real-clock fetch redirect and lane reservations slip here.
 	if p.globalFreeze > 0 {
 		p.globalFreeze--
 		p.stats.GlobalStalls++
@@ -436,9 +462,13 @@ func (p *Pipeline) step() {
 		} else if p.globalFreezeReplay > 0 {
 			p.globalFreezeReplay--
 		}
-		p.shiftInFlight()
+		if p.fetchResumeAt > p.cycle {
+			p.fetchResumeAt++
+		}
+		p.fusr.ShiftAll(p.cycle)
 		return
 	}
+	p.now++
 
 	if p.pendingFlush != nil {
 		di := p.pendingFlush
@@ -524,11 +554,12 @@ func (p *Pipeline) allocDyn() *dynInst {
 // recycleRetired returns the instructions retired last cycle to the free
 // list. Deferring the recycle one cycle makes it provably safe: by the top of
 // the cycle after retirement no live structure references a retired record —
-// wakeup's operandsReady sweep clears broadcast src links the cycle the
-// producer's result is ready (strictly before it can retire), the rename map
-// entry is cleared at retirement, and the re-fetch/flush queues only ever
-// hold squashed (never retired) instructions. The one remaining reference is
-// the fetch redirect blocker, which stays deferred here until fetch drops it.
+// a consumer's src link is cleared when its producer issues (strictly before
+// the producer can retire) and only ever names an unissued producer, the
+// wakeup structures hold only unissued instructions, the rename map entry is
+// cleared at retirement, and the re-fetch/flush queues only ever hold
+// squashed (never retired) instructions. The one remaining reference is the
+// fetch redirect blocker, which stays deferred here until fetch drops it.
 func (p *Pipeline) recycleRetired() {
 	kept := p.pendingFree[:0]
 	for _, di := range p.pendingFree {
@@ -630,7 +661,7 @@ func (p *Pipeline) fetch() {
 	if p.fetchBlockedBy != nil {
 		// Waiting on a mispredicted branch to resolve in execute; redirect
 		// the cycle after resolution.
-		if p.fetchBlockedBy.execDoneAt != unknown && p.fetchBlockedBy.execDoneAt <= p.cycle {
+		if p.fetchBlockedBy.execDoneAt != unknown && p.fetchBlockedBy.execDoneAt <= p.now {
 			p.fetchBlockedBy = nil
 			p.fetchResumeAt = p.cycle + 1
 		}
@@ -684,7 +715,7 @@ func (p *Pipeline) fetch() {
 				A: mp, B: p.pendingIFetch})
 			p.pendingIFetch = 0
 		}
-		di.availAt = p.cycle + uint64(p.cfg.FrontDepth)
+		di.availAt = p.now + uint64(p.cfg.FrontDepth)
 		di.history = p.bp.History()
 		// TEP access in parallel with decode (§2.1.1).
 		if p.scheme.UsesTEP() {
@@ -703,7 +734,7 @@ func (p *Pipeline) fetch() {
 func (p *Pipeline) dispatch() {
 	for budget := p.cfg.Width; budget > 0 && p.frontCount > 0; budget-- {
 		di := p.frontQ[p.frontHead]
-		if di.availAt > p.cycle {
+		if di.availAt > p.now {
 			return
 		}
 		if p.robCount == p.cfg.ROBSize {
@@ -711,7 +742,7 @@ func (p *Pipeline) dispatch() {
 			p.emitDispatchStall(obs.DispatchStallROB, budget)
 			return
 		}
-		if len(p.iq) >= p.cfg.IQSize {
+		if p.iqCount >= p.cfg.IQSize {
 			p.stats.StallIQ++
 			p.emitDispatchStall(obs.DispatchStallIQ, budget)
 			return
@@ -763,23 +794,36 @@ func (p *Pipeline) dispatch() {
 		}
 
 		p.frontPop()
-		di.inIQ = true
 		di.timestamp = p.iqAlloc & core.TimestampMask
 		p.iqAlloc++
-		// Register rename: link sources to in-flight producers.
+		// Register rename: link sources to unissued producers; an issued
+		// producer's tag broadcast time is already known.
 		for k, reg := range [2]int8{di.in.Src1, di.in.Src2} {
-			if reg > 0 {
-				if w := p.writers[reg]; w != nil && w.depReadyAt > p.cycle {
-					di.src[k] = w
-				}
+			if reg <= 0 || p.writers[reg] == nil {
+				continue
+			}
+			if w := p.writers[reg]; !w.issued {
+				di.src[k] = w
+			} else if w.depReadyAt > di.readyAt {
+				di.readyAt = w.depReadyAt
 			}
 		}
 		if di.in.Dest > 0 {
 			p.writers[di.in.Dest] = di
 			p.freePhys--
 		}
+		if di.fillAt != 0 {
+			// A re-dispatched load's fill time went onto the real clock when
+			// it was squashed; a fill already past stays past.
+			if di.fillAt > p.cycle {
+				di.fillAt -= p.cycle - p.now
+			} else {
+				di.fillAt = p.now
+			}
+		}
 		p.robPush(di)
-		p.iq = append(p.iq, di)
+		p.iqCount++
+		p.link(di)
 		switch di.in.Class {
 		case isa.Load:
 			p.loads++
@@ -801,21 +845,129 @@ func laneKind(c isa.Class) core.FUKind {
 	return core.KindFor(c.IsMem(), c == isa.IntMul || c == isa.IntDiv)
 }
 
-// selectIssue is the wakeup/select stage with the SLE of §3.5.1: operand-
-// ready entries bid, the policy sets grant lines, and the FUSR gates lane
-// availability.
-func (p *Pipeline) selectIssue() {
-	p.cands = p.cands[:0]
-	for i, di := range p.iq {
-		if di.operandsReady(p.cycle) {
-			p.cands = append(p.cands, core.Candidate{
-				Index:     i,
-				Timestamp: di.timestamp,
-				Faulty:    di.pred.Fault,
-				Critical:  di.pred.Critical,
-			})
+// wheelSize returns the timing wheel's slot count: a power of two above the
+// longest wakeup distance the machine normally schedules (a load missing to
+// memory behind a divide-length execute, one extra cycle in every stage and
+// a replay). A longer distance still works: the entry waits in its slot
+// until the wheel comes round to its cycle, and is visited on each pass.
+func wheelSize(cfg Config) int {
+	maxExec := 0
+	for c := isa.Class(0); c < isa.NumClasses; c++ {
+		if lat, _ := c.Latency(); lat > maxExec {
+			maxExec = lat
 		}
 	}
+	h := cfg.Hierarchy
+	span := h.L1D.Latency + h.L2.Latency + h.MemLatency + maxExec + cfg.ReplayLatency + int(isa.NumStages)
+	n := 64
+	for n <= span {
+		n <<= 1
+	}
+	return n
+}
+
+// link files a dispatched (or flush-surviving) unissued instruction in its
+// one waiting place: the consumer chain of each distinct unissued producer,
+// or, with none left, the wakeup schedule. A consumer reading one producer
+// on both operands joins its chain once, through operand 0.
+func (p *Pipeline) link(di *dynInst) {
+	di.waits = 0
+	for k, w := range di.src {
+		di.wakeNext[k] = nil
+		if w == nil || (k == 1 && di.src[0] == w) {
+			continue
+		}
+		di.wakeNext[k] = w.consumers
+		w.consumers = di
+		di.waits++
+	}
+	if di.waits == 0 {
+		p.schedule(di)
+	}
+}
+
+// schedule puts an entry whose producers have all issued where select will
+// find it when its last tag broadcasts: the ready list if that is no later
+// than now (callers add entries in seq order on this path), else the wheel
+// slot of readyAt.
+func (p *Pipeline) schedule(di *dynInst) {
+	if di.readyAt <= p.now {
+		di.wheelNext = nil
+		p.ready = append(p.ready, di)
+		return
+	}
+	slot := &p.wheel[di.readyAt&p.wheelMask]
+	di.wheelNext = *slot
+	*slot = di
+}
+
+// wakeup is the producer side of the tag broadcast, run when di issues:
+// each consumer waiting on di drops its link, learns the broadcast time,
+// and is scheduled once its last producer has issued. It returns the number
+// of distinct consumers woken — the tag matches the CDL counts (§3.5.2).
+func (p *Pipeline) wakeup(di *dynInst) int {
+	n := 0
+	for c := di.consumers; c != nil; n++ {
+		k := 0
+		if c.src[0] != di {
+			k = 1
+		}
+		next := c.wakeNext[k]
+		c.wakeNext[k] = nil
+		if c.src[0] == di {
+			c.src[0] = nil
+		}
+		if c.src[1] == di {
+			c.src[1] = nil
+		}
+		if di.depReadyAt > c.readyAt {
+			c.readyAt = di.depReadyAt
+		}
+		if c.waits--; c.waits == 0 {
+			p.schedule(c)
+		}
+		c = next
+	}
+	di.consumers = nil
+	p.examined += uint64(n)
+	return n
+}
+
+// selectIssue is the wakeup/select stage with the SLE of §3.5.1: entries
+// whose last tag broadcasts this cycle leave the timing wheel for the ready
+// list, the ready entries bid, the policy sets grant lines, and the FUSR
+// gates lane availability. The ready list stays in dispatch order because a
+// candidate's Index is its position and core.Order breaks (priority, age)
+// ties by Index: mod-64 ages tie once an entry outlives 64 dispatches, and
+// the earlier-dispatched entry must win.
+func (p *Pipeline) selectIssue() {
+	link := &p.wheel[p.now&p.wheelMask]
+	for e := *link; e != nil; e = *link {
+		p.examined++
+		if e.readyAt != p.now {
+			link = &e.wheelNext // due on a later turn of the wheel
+			continue
+		}
+		*link = e.wheelNext
+		e.wheelNext = nil
+		i := len(p.ready)
+		p.ready = append(p.ready, e)
+		for ; i > 0 && p.ready[i-1].seq > e.seq; i-- {
+			p.ready[i] = p.ready[i-1]
+		}
+		p.ready[i] = e
+	}
+
+	p.cands = p.cands[:0]
+	for i, di := range p.ready {
+		p.cands = append(p.cands, core.Candidate{
+			Index:     i,
+			Timestamp: di.timestamp,
+			Faulty:    di.pred.Fault,
+			Critical:  di.pred.Critical,
+		})
+	}
+	p.examined += uint64(len(p.cands))
 	p.stats.SumReadyCands += uint64(len(p.cands))
 	if len(p.cands) == 0 {
 		return
@@ -826,7 +978,7 @@ func (p *Pipeline) selectIssue() {
 		if grants == p.cfg.Width {
 			break
 		}
-		di := p.iq[c.Index]
+		di := p.ready[c.Index]
 		lane := p.fusr.Available(laneKind(di.in.Class), p.cycle)
 		if lane < 0 {
 			continue
@@ -835,13 +987,13 @@ func (p *Pipeline) selectIssue() {
 		grants++
 	}
 	if grants > 0 {
-		kept := p.iq[:0]
-		for _, di := range p.iq {
+		kept := p.ready[:0]
+		for _, di := range p.ready {
 			if !di.issued {
 				kept = append(kept, di)
 			}
 		}
-		p.iq = kept
+		p.ready = kept
 	}
 }
 
@@ -851,7 +1003,7 @@ func (p *Pipeline) selectIssue() {
 func (p *Pipeline) issueInst(di *dynInst, lane int) {
 	t := p.cycle
 	di.issued = true
-	di.inIQ = false
+	p.iqCount--
 	di.selectedAt = t
 	di.lane = lane
 	p.stats.Selected++
@@ -903,11 +1055,14 @@ func (p *Pipeline) issueInst(di *dynInst, lane int) {
 		}
 	}
 
-	// Timing. Selected at t; register read at t+1; execution and (for
-	// memory ops) the D-cache/LSQ follow; dependents wake via tag broadcast
-	// (delayed one cycle per confined violation up to the broadcast, §3.2.2).
+	// Timing, on the machine clock. Selected at now; register read at now+1;
+	// execution and (for memory ops) the D-cache/LSQ follow; dependents wake
+	// via tag broadcast (delayed one cycle per confined violation up to the
+	// broadcast, §3.2.2). frozen converts to the real cycles the FUSR and
+	// the observer count in.
+	frozen := t - p.now
 	exLat, pipelined := di.in.Class.Latency()
-	rrDone := t + 1 + extra[isa.Issue] + extra[isa.RegRead]
+	rrDone := p.now + 1 + extra[isa.Issue] + extra[isa.RegRead]
 	execDone := rrDone + uint64(exLat) + extra[isa.Execute]
 	var loadLat uint64 // data-access latency for loads (KindIssue payload C)
 	if isMem {
@@ -945,17 +1100,17 @@ func (p *Pipeline) issueInst(di *dynInst, lane int) {
 	}
 	if extra[isa.RegRead] > 0 {
 		// Register-read port blocked one additional cycle (§3.3.2).
-		p.fusr.Freeze(lane, rrDone)
+		p.fusr.Freeze(lane, rrDone+frozen)
 		p.stats.SlotFreezes++
 	}
 	if isMem && extra[isa.Memory] > 0 {
 		// No load/store CAM match right behind the faulty one (§3.3.4).
-		p.fusr.Freeze(lane, execDone+1)
+		p.fusr.Freeze(lane, execDone+1+frozen)
 		p.stats.SlotFreezes++
 	}
 	if extra[isa.Writeback] > 0 {
 		// Writeback input slot recirculates (§3.3.5).
-		p.fusr.Freeze(lane, di.completeAt-1)
+		p.fusr.Freeze(lane, di.completeAt-1+frozen)
 		p.stats.SlotFreezes++
 	}
 
@@ -969,33 +1124,19 @@ func (p *Pipeline) issueInst(di *dynInst, lane int) {
 	}
 	p.stats.ExecByClass[di.in.Class]++
 
-	// Criticality Detection Logic (§3.5.2): count issue-queue tag matches
-	// for this producer and store the determination with the TEP. Only the
-	// CDS scheme builds this hardware (Table 2).
-	if p.scheme == core.CDS && di.in.Dest > 0 {
-		matches := 0
-		for _, e := range p.iq {
-			// p.iq still holds entries granted earlier in this selectIssue
-			// pass (compaction happens after the grant loop); issued
-			// instructions are not waiting dependents, so only count entries
-			// still resident in the queue.
-			if !e.inIQ {
-				continue
-			}
-			if e.src[0] == di || e.src[1] == di {
-				matches++
-			}
-		}
-		if p.cdl.Critical(matches) {
-			p.tep.SetCritical(di.in.PC, di.history, true)
-			p.stats.CriticalMarks++
-		}
+	// Wake the waiting consumers. Their count is the Criticality Detection
+	// Logic's tag-match count (§3.5.2): the distinct consumers waiting in the
+	// issue queue on this producer. The determination is stored with the
+	// TEP; only the CDS scheme builds this hardware (Table 2).
+	if matches := p.wakeup(di); p.scheme == core.CDS && di.in.Dest > 0 && p.cdl.Critical(matches) {
+		p.tep.SetCritical(di.in.PC, di.history, true)
+		p.stats.CriticalMarks++
 	}
 
 	if p.obs != nil {
 		p.obs.Event(obs.Event{Kind: obs.KindIssue, Cycle: t,
 			Seq: di.seq, PC: di.in.PC, Class: di.in.Class,
-			Lane: int16(lane), A: di.depReadyAt, B: di.completeAt,
+			Lane: int16(lane), A: di.depReadyAt + frozen, B: di.completeAt + frozen,
 			C: loadLat})
 	}
 }
@@ -1118,7 +1259,10 @@ func (p *Pipeline) flushReplay(di *dynInst) {
 	p.frontHead, p.frontCount = 0, 0
 	p.replayQ = append(squashed, p.replayQ...)
 
-	// Rebuild the rename map from the surviving window.
+	// Rebuild the rename map and the wakeup state from the surviving window:
+	// empty every consumer chain, then refile each unissued survivor. Its
+	// producers are older than it, so they survived, and its src links and
+	// readyAt still hold.
 	for r := range p.writers {
 		p.writers[r] = nil
 	}
@@ -1127,15 +1271,15 @@ func (p *Pipeline) flushReplay(di *dynInst) {
 		if e.in.Dest > 0 {
 			p.writers[e.in.Dest] = e
 		}
+		e.consumers = nil
 	}
-	// Drop squashed issue-queue entries.
-	kept := p.iq[:0]
-	for _, e := range p.iq {
-		if e.inIQ {
-			kept = append(kept, e)
+	p.ready = p.ready[:0]
+	clear(p.wheel)
+	for i := 0; i < p.robCount; i++ {
+		if e := p.rob[(p.robHead+i)%p.cfg.ROBSize]; !e.issued {
+			p.link(e)
 		}
 	}
-	p.iq = kept
 
 	if p.fetchBlockedBy != nil && p.fetchBlockedBy.seq >= di.seq {
 		p.fetchBlockedBy = nil
@@ -1143,10 +1287,16 @@ func (p *Pipeline) flushReplay(di *dynInst) {
 	p.fetchResumeAt = p.cycle + uint64(p.cfg.ReplayBubble)
 }
 
-// squash releases the resources a dispatched instruction holds.
+// squash releases the resources a dispatched instruction holds. A load's
+// fill time leaves the machine clock with it: the refill keeps its real
+// cycle while the load waits outside the ROB, and dispatch converts it
+// back.
 func (p *Pipeline) squash(di *dynInst) {
-	if di.inIQ {
-		di.inIQ = false // removed from p.iq by the caller's compaction
+	if !di.issued {
+		p.iqCount--
+	}
+	if di.fillAt != 0 {
+		di.fillAt += p.cycle - p.now
 	}
 	if di.in.Dest > 0 {
 		p.freePhys++
@@ -1170,7 +1320,7 @@ func (p *Pipeline) squash(di *dynInst) {
 func (p *Pipeline) retire() {
 	for budget := p.cfg.Width; budget > 0 && p.robCount > 0; budget-- {
 		di := p.rob[p.robHead]
-		if !di.issued || di.completeAt == unknown || di.completeAt > p.cycle {
+		if !di.issued || di.completeAt == unknown || di.completeAt > p.now {
 			return
 		}
 		// Retire-stage violations (§2.2): stall-tolerated when predicted.
@@ -1252,32 +1402,6 @@ func (p *Pipeline) retire() {
 		}
 		p.pendingFree = append(p.pendingFree, di)
 	}
-}
-
-// shiftInFlight slips every pending event one cycle later, implementing a
-// whole-pipeline recirculation cycle.
-func (p *Pipeline) shiftInFlight() {
-	shift := func(v *uint64) {
-		if *v != unknown && *v > p.cycle {
-			*v++
-		}
-	}
-	for i := 0; i < p.robCount; i++ {
-		di := p.rob[(p.robHead+i)%p.cfg.ROBSize]
-		shift(&di.depReadyAt)
-		shift(&di.execDoneAt)
-		shift(&di.completeAt)
-		if di.fillAt > p.cycle {
-			di.fillAt++
-		}
-	}
-	for i := 0; i < p.frontCount; i++ {
-		shift(&p.frontAt(i).availAt)
-	}
-	if p.fetchResumeAt > p.cycle {
-		p.fetchResumeAt++
-	}
-	p.fusr.ShiftAll(p.cycle)
 }
 
 // ------------------------------------------------------------------ rob --

@@ -197,6 +197,9 @@ func (p *Pipeline) RestoreState(b []byte) error {
 		return err
 	}
 	p.cycle = r.U64()
+	// Nothing timed on the machine clock crosses a drained snapshot, so the
+	// restored clock may start level with the real one.
+	p.now = p.cycle
 	p.seq = r.U64()
 	p.fetchLimit = r.U64()
 	p.newFetched = r.U64()
@@ -251,7 +254,7 @@ func (p *Pipeline) RestoreState(b []byte) error {
 	// redirect cycle fetch still owes.
 	p.fetchBlockedBy = nil
 	if blocked {
-		p.fetchBlockedBy = &dynInst{execDoneAt: p.cycle}
+		p.fetchBlockedBy = &dynInst{execDoneAt: p.now}
 	}
 	// Mirror the warmup boundary: measurement starts here.
 	p.stats = Stats{}

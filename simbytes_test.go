@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
@@ -15,7 +16,11 @@ import (
 	"testing"
 
 	"tvsched"
+	"tvsched/internal/core"
 	"tvsched/internal/experiments"
+	"tvsched/internal/obs"
+	"tvsched/internal/pipeline"
+	"tvsched/internal/sim"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
@@ -23,7 +28,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden fi
 // simBytesGolden holds one "<name> <sha256>" line per pinned artifact.
 var simBytesGolden = filepath.Join("testdata", "simbytes.golden")
 
-// simBytes is the run-report/v1 and snapshot byte stream this file pins.
+// simBytes is the run-report/v1, snapshot and event byte stream this file
+// pins.
 type simBytes struct {
 	names   []string
 	digests map[string]string
@@ -31,12 +37,18 @@ type simBytes struct {
 
 func (d *simBytes) add(t *testing.T, name string, b []byte) {
 	t.Helper()
+	sum := sha256.Sum256(b)
+	d.addSum(t, name, sum[:])
+}
+
+// addSum records an artifact that was hashed as it streamed by.
+func (d *simBytes) addSum(t *testing.T, name string, sum []byte) {
+	t.Helper()
 	if _, dup := d.digests[name]; dup {
 		t.Fatalf("duplicate golden entry %q", name)
 	}
-	sum := sha256.Sum256(b)
 	d.names = append(d.names, name)
-	d.digests[name] = hex.EncodeToString(sum[:])
+	d.digests[name] = hex.EncodeToString(sum)
 }
 
 // TestSimulatedBytesGolden pins the simulated bytes of every path a speed-only
@@ -50,7 +62,11 @@ func (d *simBytes) add(t *testing.T, name string, b []byte) {
 //   - one legacy Warmup cell (warm state at the faulty supply) and one asm
 //     session (no L2 prefill, custom fault bias);
 //   - a storm report over every hazard scenario, which drives the fault
-//     model's TailScale and Delay perturbations and the supervisor.
+//     model's TailScale and Delay perturbations and the supervisor;
+//   - the observer event stream (SHA-256 over every field of every Event,
+//     warmup included) of EP, Razor and CDS cells at 0.97 V and of
+//     FullFlushReplay cells, which no report prints: issue-time wakeup
+//     and completion cycles, slot freezes, stall causes and flushes.
 //
 // A mismatch means simulated behaviour changed. That is never a side effect
 // of an optimization; regenerate with -update-golden only for a deliberate
@@ -205,5 +221,60 @@ loop:
 		t.Fatal(err)
 	}
 	d.add(t, "storm/"+sc.Bench, blob)
+
+	for _, c := range []struct {
+		bench  string
+		scheme core.Scheme
+		flush  bool
+	}{
+		{"mcf", core.EP, false},
+		{"mcf", core.Razor, false},
+		{"mcf", core.CDS, false},
+		{"bzip2", core.EP, false},
+		{"bzip2", core.Razor, false},
+		{"bzip2", core.CDS, false},
+		{"mcf", core.Razor, true},
+		{"mcf", core.EP, true},
+		{"bzip2", core.CDS, true},
+	} {
+		name := fmt.Sprintf("events/%s/%s", c.bench, c.scheme)
+		if c.flush {
+			name = fmt.Sprintf("events-flush/%s/%s", c.bench, c.scheme)
+		}
+		d.addSum(t, name, eventStream(t, c.bench, c.scheme, c.flush))
+	}
 	return d
+}
+
+// eventStream runs a legacy-Warmup cell at 0.97 V (warm state built at the
+// faulty supply, so warmup violates too) with an observer attached from
+// construction, and returns the SHA-256 of every field of every event.
+func eventStream(t *testing.T, bench string, scheme core.Scheme, flush bool) []byte {
+	t.Helper()
+	h := sha256.New()
+	var buf [53]byte // kind, stage, class, lane, then six uint64 fields
+	o := obs.ObserverFunc(func(e obs.Event) {
+		b := buf[:0]
+		b = append(b, byte(e.Kind), byte(e.Stage), byte(e.Class))
+		b = binary.LittleEndian.AppendUint16(b, uint16(e.Lane))
+		for _, v := range [...]uint64{e.Cycle, e.Seq, e.PC, e.A, e.B, e.C} {
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
+		h.Write(b)
+	})
+	mc := pipeline.DefaultConfig()
+	mc.FullFlushReplay = flush
+	s, err := sim.New(sim.Config{Benchmark: bench, Scheme: scheme, VDD: tvsched.VHighFault,
+		Warmup: 2000, Seed: 1, Observer: o, Machine: &mc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := s.Warmup(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(ctx, 4000); err != nil {
+		t.Fatal(err)
+	}
+	return h.Sum(nil)
 }
