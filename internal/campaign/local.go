@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"tvsched"
+	"tvsched/internal/lru"
 	"tvsched/internal/resolve"
 	"tvsched/internal/store"
 )
@@ -46,8 +47,8 @@ func (r *LocalRunner) Run(ctx context.Context, cell Cell) CellResult {
 		// Both memos keep everything for the runner's lifetime: campaign
 		// order puts the cells of one warm group a stride of #seeds apart,
 		// so any bound below the group count would re-run warmups.
-		r.results = &resolve.Flight{Memo: resolve.NewLRU(math.MaxInt)}
-		r.snaps = &resolve.Flight{Memo: resolve.NewLRU(math.MaxInt)}
+		r.results = &resolve.Flight{Memo: lru.New[string, []byte](math.MaxInt)}
+		r.snaps = &resolve.Flight{Memo: lru.New[string, []byte](math.MaxInt)}
 	})
 	digest := cell.Config.Digest()
 	body, prov, err := r.results.Do(ctx, digest, nil, func(ctx context.Context) ([]byte, resolve.Source, error) {

@@ -8,6 +8,7 @@ import (
 	"tvsched/internal/isa"
 	"tvsched/internal/rng"
 	"tvsched/internal/snap"
+	"tvsched/internal/workload"
 )
 
 // refMargin derives a pair's margin from scratch, every hash recomputed: the
@@ -22,6 +23,20 @@ func refMargin(cfg Config, pc uint64, stage isa.Stage, tailScale float64) float6
 		return tailLo + hash01(1)*(tailHi-tailLo)
 	}
 	return 0.45 + 0.35*hash01(2)
+}
+
+// refStages is the per-stage tail-membership reference: every stage whose
+// tail draw, with every hash recomputed, falls under the (storm-scaled) tail
+// probability.
+func refStages(cfg Config, pc uint64, tailScale float64) StageMask {
+	var mask StageMask
+	for s := isa.Fetch; s < isa.NumStages; s++ {
+		h := rng.Mix(cfg.Seed ^ rng.Mix(pc) ^ rng.Mix(uint64(s)))
+		if float64(h>>11)/(1<<53) < cfg.TailFraction*cfg.Bias*stageWeight(s)*tailScale {
+			mask |= 1 << s
+		}
+	}
+	return mask
 }
 
 // refViolates is the full-margin violation decision: derive the margin, skip
@@ -192,4 +207,66 @@ func TestThermalMatchesEager(t *testing.T) {
 			t.Fatalf("hazard=%v: snapshot bytes differ from the eager state machine's", hazard)
 		}
 	}
+}
+
+// TestStagesMatchesInTail pins the tail-mask table of every bundled
+// program at seeds 1–3 to the per-stage reference: the table answers
+// Stages(pc, 1) for every PC of the program, the hash answers storm tail
+// scales and PCs off the table (below it, past it, misaligned, and on a
+// model without one), and all of them must equal refStages. Violates must
+// never report a stage outside Stages.
+func TestStagesMatchesInTail(t *testing.T) {
+	var pcs, tailPCs, violations int
+	for _, prof := range workload.SPEC2006() {
+		for seed := uint64(1); seed <= 3; seed++ {
+			prog, err := workload.NewProgram(prof, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig(seed)
+			cfg.Bias = prof.FaultBias
+			n := prog.StaticFootprint()
+			m, bare := NewWithTable(cfg, workload.CodeBase, n), New(cfg)
+			env := NewEnv(VHighFault, seed)
+			check := func(pc uint64, ts float64) StageMask {
+				want := refStages(cfg, pc, ts)
+				if got := m.Stages(pc, ts); got != want {
+					t.Fatalf("%s/%d pc %#x tail×%v: Stages = %010b, reference %010b", prof.Name, seed, pc, ts, got, want)
+				}
+				if got := bare.Stages(pc, ts); got != want {
+					t.Fatalf("%s/%d pc %#x tail×%v: Stages without a table = %010b, reference %010b", prof.Name, seed, pc, ts, got, want)
+				}
+				return want
+			}
+			for i := 0; i < n; i++ {
+				pc := workload.CodeBase + 4*uint64(i)
+				mask := check(pc, 1)
+				for _, ts := range []float64{0.25, 2, 8} {
+					check(pc, ts)
+				}
+				pcs++
+				if mask != 0 {
+					tailPCs++
+				}
+				env.Step()
+				for s := isa.Fetch; s < isa.NumStages; s++ {
+					if m.Violates(pc, s, env, uint64(i)) {
+						violations++
+						if mask&(1<<s) == 0 {
+							t.Fatalf("%s/%d pc %#x: Violates in %v, outside Stages %010b", prof.Name, seed, pc, s, mask)
+						}
+					}
+				}
+			}
+			for _, pc := range []uint64{workload.CodeBase - 4, workload.CodeBase + 4*uint64(n), workload.CodeBase + 4*uint64(n) + 64, workload.CodeBase + 2, 0} {
+				for _, ts := range []float64{1, 0.25, 2, 8} {
+					check(pc, ts)
+				}
+			}
+		}
+	}
+	if tailPCs == 0 || violations == 0 {
+		t.Fatalf("weak coverage: %d PCs, %d with a tail stage, %d violations", pcs, tailPCs, violations)
+	}
+	t.Logf("%d PCs, %d with a tail stage, %d violations", pcs, tailPCs, violations)
 }

@@ -117,7 +117,14 @@ const (
 	numSalts
 )
 
-// Model derives per-(PC,stage) margins and evaluates violations.
+// StageMask is a set of pipe stages, bit s for isa.Stage s.
+type StageMask uint16
+
+// AllStages holds every pipe stage.
+const AllStages StageMask = 1<<isa.NumStages - 1
+
+// Model derives per-(PC,stage) margins and evaluates violations. It is
+// read-only once built, so one model may serve concurrent pipelines.
 type Model struct {
 	cfg Config
 	// key[salt][stage] is Seed ^ Mix(stage + 0x1000·salt), the part of every
@@ -126,6 +133,10 @@ type Model struct {
 	// pTail[stage] is the unperturbed tail-membership probability,
 	// TailFraction·Bias·stageWeight(stage).
 	pTail [isa.NumStages]float64
+	// masks[i], when built by NewWithTable, is the tail mask at TailScale 1
+	// of the instruction at base+4i.
+	base  uint64
+	masks []StageMask
 }
 
 // New builds a fault model.
@@ -136,6 +147,19 @@ func New(cfg Config) *Model {
 			m.key[salt][s] = cfg.Seed ^ rng.Mix(uint64(s)+0x1000*uint64(salt))
 		}
 		m.pTail[s] = cfg.TailFraction * cfg.Bias * stageWeight(s)
+	}
+	return m
+}
+
+// NewWithTable builds a fault model that also tabulates the unperturbed
+// tail mask of the n instructions at base, base+4, …: a static program's
+// code, whose Stages queries then read the table instead of hashing.
+func NewWithTable(cfg Config, base uint64, n int) *Model {
+	m := New(cfg)
+	m.base = base
+	m.masks = make([]StageMask, n)
+	for i := range m.masks {
+		m.masks[i] = m.tailMask(rng.Mix(base+4*uint64(i)), 1)
 	}
 	return m
 }
@@ -175,6 +199,29 @@ func (m *Model) marginAt(pc uint64, stage isa.Stage, tailScale float64) float64 
 // inTail reports whether (pc, stage) is near-critical under tailScale.
 func (m *Model) inTail(mpc uint64, stage isa.Stage, tailScale float64) bool {
 	return m.hash01(mpc, stage, saltTail) < m.pTail[stage]*tailScale
+}
+
+// tailMask is the set of stages in which pc (mpc = rng.Mix(pc)) is
+// near-critical under tailScale.
+func (m *Model) tailMask(mpc uint64, tailScale float64) StageMask {
+	var mask StageMask
+	for s := isa.Stage(0); s < isa.NumStages; s++ {
+		if m.inTail(mpc, s, tailScale) {
+			mask |= 1 << s
+		}
+	}
+	return mask
+}
+
+// Stages returns the stages in which instruction pc is near-critical under
+// tailScale: the only stages in which Violates can report a violation. It
+// reads the table when the model has one covering pc and tailScale is 1 —
+// the table holds exactly what the hash gives there — and hashes otherwise.
+func (m *Model) Stages(pc uint64, tailScale float64) StageMask {
+	if i := (pc - m.base) / 4; tailScale == 1 && i < uint64(len(m.masks)) && pc&3 == m.base&3 {
+		return m.masks[i]
+	}
+	return m.tailMask(rng.Mix(pc), tailScale)
 }
 
 // tailMargin is the margin of a near-critical pair: its position within

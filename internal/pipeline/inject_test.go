@@ -29,6 +29,8 @@ func (in *injector) Violates(pc uint64, stage isa.Stage, env *fault.Env, seq uin
 
 func (in *injector) Margin(uint64, isa.Stage) float64 { return 0.95 }
 
+func (in *injector) Stages(uint64, float64) fault.StageMask { return fault.AllStages }
+
 // allALU produces independent single-cycle ALU work.
 func allALU() *sliceSource {
 	insts := make([]isa.Inst, 16)

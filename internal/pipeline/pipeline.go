@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"tvsched/internal/bpred"
 	"tvsched/internal/core"
@@ -30,6 +31,9 @@ type FaultOracle interface {
 	// Margin returns the (µ+2σ)/Tclk criticality of the paths pc sensitizes
 	// in stage, used to pick the dominant stage when several violate.
 	Margin(pc uint64, stage isa.Stage) float64
+	// Stages returns the stages in which the instruction at pc can violate
+	// under the environment's tailScale; Violates is asked about no other.
+	Stages(pc uint64, tailScale float64) fault.StageMask
 }
 
 // Pipeline is the simulated machine.
@@ -602,12 +606,17 @@ func (p *Pipeline) newDyn() *dynInst {
 	p.seq++
 	di.resetPipelineState()
 
-	// Ground truth: the most critical violating stage, if any.
+	// Ground truth: the most critical violating stage, if any. Only the
+	// instruction's near-critical stages can violate; they are tested in
+	// ascending stage order, so the strict comparison keeps the earliest of
+	// equally critical stages.
 	bestMargin := 0.0
-	for s := isa.Fetch; s < isa.NumStages; s++ {
-		if s == isa.Memory && !in.Class.IsMem() {
-			continue
-		}
+	mask := p.model.Stages(in.PC, p.env.TailScale())
+	if !in.Class.IsMem() {
+		mask &^= 1 << isa.Memory
+	}
+	for ; mask != 0; mask &= mask - 1 {
+		s := isa.Stage(bits.TrailingZeros16(uint16(mask)))
 		if p.model.Violates(in.PC, s, p.env, di.seq) {
 			if mg := p.model.Margin(in.PC, s); mg > bestMargin {
 				bestMargin = mg

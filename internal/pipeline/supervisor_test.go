@@ -198,6 +198,8 @@ func (in *retireInjector) Violates(pc uint64, stage isa.Stage, env *fault.Env, s
 
 func (in *retireInjector) Margin(uint64, isa.Stage) float64 { return 0.95 }
 
+func (in *retireInjector) Stages(uint64, float64) fault.StageMask { return fault.AllStages }
+
 // blackoutTimeline is a blackout-class droop shaped for these short unit
 // runs: it arrives early and outlasts both the watchdog period and the hard
 // 200k no-commit limit, so the only way out below nominal VDD is a supply

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tvsched"
+	"tvsched/internal/lru"
 )
 
 // TestSimulateSnapshotPaths runs one cell cold, restored from a donor's
@@ -20,7 +21,7 @@ func TestSimulateSnapshotPaths(t *testing.T) {
 		t.Fatalf("cold run: %v, %v", src, err)
 	}
 
-	snaps := &Flight{Memo: NewLRU(1)}
+	snaps := &Flight{Memo: lru.New[string, []byte](1)}
 	restored, src, err := Simulate(ctx, cfg, snaps)
 	if err != nil || src != Restored {
 		t.Fatalf("checkpointed run: %v, %v", src, err)

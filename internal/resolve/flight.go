@@ -12,6 +12,8 @@ import (
 	"errors"
 	"sync"
 	"time"
+
+	"tvsched/internal/lru"
 )
 
 // Lead produces the bytes for one key and names where they came from.
@@ -22,8 +24,11 @@ type Lead func(ctx context.Context) ([]byte, Source, error)
 // The zero Flight is ready: no memo, leads run inline.
 type Flight struct {
 	// Memo, when non-nil, answers keys a lead already produced and keeps
-	// every successful lead's bytes.
-	Memo *LRU
+	// every successful lead's bytes, so a hit is byte-identical to the lead
+	// that filled it. The flight reads and fills it under its own lock,
+	// which makes "memo miss, register lead" one atomic step: two racing
+	// misses on one key resolve to one lead, never two.
+	Memo *lru.LRU[string, []byte]
 	// Detach runs each lead on its own goroutine, detached from the leading
 	// caller's cancellation, and every caller — the leader included — waits
 	// under its own context. Otherwise the leader runs the lead inline,

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"tvsched/internal/lru"
 )
 
 // blockingLead returns a lead that counts its runs, signals started, and
@@ -38,7 +40,7 @@ func joinNotice(joined chan<- struct{}) func(bool) error {
 // checks every caller's provenance: the leader reports the lead's source,
 // joiners report it shared, and a caller after the lead hits the memo.
 func TestFlightReportsHow(t *testing.T) {
-	f := &Flight{Memo: NewLRU(4)}
+	f := &Flight{Memo: lru.New[string, []byte](4)}
 	var runs atomic.Int64
 	started, gate := make(chan struct{}, 1), make(chan struct{})
 	lead := blockingLead(&runs, started, gate)
@@ -91,7 +93,7 @@ func TestFlightReportsHow(t *testing.T) {
 // flight: a leader that dies of its own context hands its waiters no error;
 // a waiter whose context is live leads the work itself.
 func TestFlightReleadsAfterLeaderContextDies(t *testing.T) {
-	f := &Flight{Memo: NewLRU(4)}
+	f := &Flight{Memo: lru.New[string, []byte](4)}
 	var runs atomic.Int64
 	started, gate := make(chan struct{}, 2), make(chan struct{})
 	close(gate) // only the first lead blocks: on its context
@@ -133,7 +135,7 @@ func TestFlightReleadsAfterLeaderContextDies(t *testing.T) {
 // reaches every waiter instead of starting a re-lead loop. A caller that
 // gives up stops waiting without stopping the lead.
 func TestFlightDetachedFailureIsFinal(t *testing.T) {
-	f := &Flight{Memo: NewLRU(4), Detach: true}
+	f := &Flight{Memo: lru.New[string, []byte](4), Detach: true}
 	var runs atomic.Int64
 	started, gate := make(chan struct{}, 1), make(chan struct{})
 	stop, cancelStop := context.WithCancel(context.Background())
@@ -182,7 +184,7 @@ func TestFlightDetachedFailureIsFinal(t *testing.T) {
 // TestFlightFailureNotMemoized: a failed lead leaves nothing behind, so the
 // next caller leads again and its success is memoized.
 func TestFlightFailureNotMemoized(t *testing.T) {
-	f := &Flight{Memo: NewLRU(4)}
+	f := &Flight{Memo: lru.New[string, []byte](4)}
 	boom := errors.New("boom")
 	var runs atomic.Int64
 	lead := func(ctx context.Context) ([]byte, Source, error) {

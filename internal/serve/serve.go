@@ -69,6 +69,7 @@ import (
 	"tvsched/internal/campaign"
 	"tvsched/internal/cluster"
 	"tvsched/internal/experiments"
+	"tvsched/internal/lru"
 	"tvsched/internal/obs"
 	"tvsched/internal/obs/span"
 	"tvsched/internal/resil"
@@ -306,7 +307,7 @@ type Server struct {
 	breakers  map[string]*resil.Breaker
 	owedMu    sync.Mutex
 	owed      map[string][]string
-	knownCfgs *resolve.LRU
+	knownCfgs *lru.LRU[string, []byte]
 
 	store *store.Store // nil means memory-only
 
@@ -330,16 +331,16 @@ func New(cfg Config) *Server {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		sem:        make(chan struct{}, cfg.Workers),
-		results:    &resolve.Flight{Memo: resolve.NewLRU(cfg.CacheEntries), Detach: true},
+		results:    &resolve.Flight{Memo: lru.New[string, []byte](cfg.CacheEntries), Detach: true},
 		snaps: &resolve.Flight{
-			Memo: resolve.NewLRU(cfg.SnapshotEntries),
+			Memo: lru.New[string, []byte](cfg.SnapshotEntries),
 			OnLead: func(ctx context.Context, d time.Duration) {
 				span.FromContext(ctx).RecordChild("snapshot_produce", d)
 			},
 		},
 		breakers:  make(map[string]*resil.Breaker),
 		owed:      make(map[string][]string),
-		knownCfgs: resolve.NewLRU(cfg.CacheEntries),
+		knownCfgs: lru.New[string, []byte](cfg.CacheEntries),
 		store:     cfg.Store,
 		campaigns: make(map[string]*campaignRun),
 	}
@@ -517,8 +518,11 @@ func (s *Server) result(ctx context.Context, cfg tvsched.Config, admit, checkpoi
 	// followers that arrive later still want the result, and so does the
 	// cache. The leader merely waits like any other follower, so a failed
 	// computation (shutdown included) reaches every waiter as its status.
+	// The span context is copied here, while parent is still live: the
+	// detached lead may outlive it, and an ended span is recycled.
+	pctx := parent.Context()
 	body, prov, err := s.results.Do(ctx, digest, decide, func(context.Context) ([]byte, resolve.Source, error) {
-		return s.compute(digest, cfg, checkpoint, forwarded, parent.Context())
+		return s.compute(digest, cfg, checkpoint, forwarded, pctx)
 	})
 	gone := err != nil && ctx.Err() != nil
 	switch {

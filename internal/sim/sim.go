@@ -32,6 +32,7 @@ import (
 	"tvsched/internal/asm"
 	"tvsched/internal/core"
 	"tvsched/internal/fault"
+	"tvsched/internal/lru"
 	"tvsched/internal/obs"
 	"tvsched/internal/pipeline"
 	"tvsched/internal/tep"
@@ -126,19 +127,73 @@ func New(cfg Config) (*Session, error) {
 		}
 		prof = p
 	}
-	gen, err := workload.NewGenerator(prof, cfg.Seed)
+	img, err := imageOf(prof, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	fc := fault.DefaultConfig(cfg.Seed)
-	fc.Bias = prof.FaultBias
-	p, err := pipeline.New(cfg.machineConfig(prof.MispredictRate), gen, fault.New(fc), cfg.VDD)
+	gen := img.prog.NewGenerator()
+	p, err := pipeline.New(cfg.machineConfig(prof.MispredictRate), gen, img.model, cfg.VDD)
 	if err != nil {
 		return nil, err
 	}
 	s := &Session{cfg: cfg, prof: prof, p: p, retargeted: true, owesPrefill: true}
 	s.warmBase, s.warmSize = gen.WarmRegion()
 	return s, nil
+}
+
+// image is the read-only part of a session that depends only on (profile,
+// seed): the static program and the fault model with its per-PC tail masks.
+// Every session of that key walks the program with a fresh generator and
+// shares the model.
+type image struct {
+	prog  *workload.Program
+	model *fault.Model
+}
+
+type imageKey struct {
+	prof workload.Profile
+	seed uint64
+}
+
+// imageEntries bounds the process-wide image cache. A warm group's donor and
+// cells, and a sweep's schemes and supplies, run one key back to back.
+const imageEntries = 4
+
+// images is shared by every session in the process. A session built on a
+// cached image and one built on a fresh image are the same machine, so the
+// cache changes how fast sessions are built and nothing else.
+var images = lru.New[imageKey, *image](imageEntries)
+
+// imageOf returns the image of (prof, seed), building it on a miss. Two
+// sessions that miss on one key at once both build it; the images are
+// equal, and the cache keeps whichever lands last.
+func imageOf(prof workload.Profile, seed uint64) (*image, error) {
+	key := imageKey{prof, seed}
+	if img, ok := images.Get(key); ok {
+		return img, nil
+	}
+	img, err := buildImage(prof, seed)
+	if err != nil {
+		return nil, err
+	}
+	// A profile holding a NaN never equals itself: it could neither hit nor
+	// be evicted, so its image stays out of the cache.
+	if key == key {
+		images.Put(key, img)
+	}
+	return img, nil
+}
+
+// buildImage builds the program of (prof, seed) and its fault model, whose
+// table covers exactly the program's code.
+func buildImage(prof workload.Profile, seed uint64) (*image, error) {
+	prog, err := workload.NewProgram(prof, seed)
+	if err != nil {
+		return nil, err
+	}
+	fc := fault.DefaultConfig(seed)
+	fc.Bias = prof.FaultBias
+	return &image{prog, fault.NewWithTable(fc, workload.CodeBase, prog.StaticFootprint())}, nil
 }
 
 // payPrefill installs the benchmark's warm data region into the L2 — a

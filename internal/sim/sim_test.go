@@ -3,12 +3,15 @@ package sim
 import (
 	"bytes"
 	"context"
+	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"tvsched/internal/core"
 	"tvsched/internal/fault"
 	"tvsched/internal/pipeline"
+	"tvsched/internal/workload"
 )
 
 // TestDeferredPrefillMatchesEager pins that New's L2 prefill, paid at the
@@ -93,5 +96,116 @@ func TestDeferredPrefillMatchesEager(t *testing.T) {
 	}
 	if !reflect.DeepEqual(stats[0], stats[1]) {
 		t.Errorf("restored run differs over a cold and a prefilled L2:\n got %+v\nwant %+v", stats[0], stats[1])
+	}
+}
+
+// TestImageSharedAcrossConcurrentSessions runs the five schemes of one
+// (benchmark, seed) at the same time on one image — one program walked by
+// five generators, one fault model and its tail-mask table — and requires
+// every cell's Stats to equal the same cell run alone on an image built for
+// it. All five must hit the shared image.
+func TestImageSharedAcrossConcurrentSessions(t *testing.T) {
+	ctx := context.Background()
+	const seed = 7
+	prof, err := workload.Lookup("sjeng")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := imageKey{prof, seed}
+	fresh := func() *image {
+		img, err := buildImage(prof, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		images.Put(key, img)
+		return img
+	}
+	schemes := []core.Scheme{core.Razor, core.EP, core.ABS, core.FFS, core.CDS}
+	run := func(sc core.Scheme) (pipeline.Stats, error) {
+		s, err := New(Config{Benchmark: "sjeng", Scheme: sc, VDD: fault.VHighFault, Warmup: 4000, Seed: seed})
+		if err != nil {
+			return pipeline.Stats{}, err
+		}
+		if err := s.WarmupNeutral(ctx); err != nil {
+			return pipeline.Stats{}, err
+		}
+		return s.Run(ctx, 12000)
+	}
+
+	want := make([]pipeline.Stats, len(schemes))
+	for i, sc := range schemes {
+		fresh()
+		if want[i], err = run(sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	shared := fresh()
+	got := make([]pipeline.Stats, len(schemes))
+	errs := make([]error, len(schemes))
+	var wg sync.WaitGroup
+	for i, sc := range schemes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = run(sc)
+		}()
+	}
+	wg.Wait()
+	for i, sc := range schemes {
+		if errs[i] != nil {
+			t.Fatalf("%v: %v", sc, errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%v: a shared image changed the run:\n got %+v\nwant %+v", sc, got[i], want[i])
+		}
+	}
+	if img, ok := images.Get(key); !ok || img != shared {
+		t.Error("a session rebuilt the image it should have shared")
+	}
+}
+
+// TestImageCacheKeys pins what the image cache keys on: a second session of
+// one (profile, seed) reuses the first one's image whatever its scheme and
+// supply, another seed builds its own, and a profile that holds a NaN —
+// equal to no key, itself included — simulates without entering the cache.
+func TestImageCacheKeys(t *testing.T) {
+	prof, err := workload.Lookup("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(cfg Config) {
+		t.Helper()
+		if _, err := New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build(Config{Benchmark: "gcc", Scheme: core.ABS, VDD: fault.VHighFault, Seed: 3})
+	first, ok := images.Get(imageKey{prof, 3})
+	if !ok {
+		t.Fatal("New left no image in the cache")
+	}
+	build(Config{Profile: &prof, Scheme: core.Razor, VDD: fault.VLowFault, Seed: 3})
+	if again, _ := images.Get(imageKey{prof, 3}); again != first {
+		t.Error("a second session of one (profile, seed) rebuilt its image")
+	}
+	build(Config{Benchmark: "gcc", Scheme: core.ABS, VDD: fault.VHighFault, Seed: 4})
+	if other, _ := images.Get(imageKey{prof, 4}); other == nil || other == first {
+		t.Error("another seed did not get an image of its own")
+	}
+
+	nan := prof
+	nan.PaperIPC = math.NaN()
+	s, err := New(Config{Profile: &nan, Scheme: core.ABS, VDD: fault.VHighFault, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(context.Background(), 2000); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range images.Keys() {
+		if k != k {
+			t.Error("a NaN profile entered the image cache")
+		}
 	}
 }

@@ -7,17 +7,16 @@ import (
 )
 
 // AppendState serializes the generator's dynamic state: the RNG stream, the
-// per-static-instruction memory cursors (the only mutable field of the
-// static program), and the loop-walk state. The static program itself is
-// not serialized — it is a pure function of (profile, seed), and the
-// restoring side rebuilds it with NewGenerator before calling ReadState.
+// per-static-instruction memory cursors (one U64 per static instruction, in
+// PC order — non-memory instructions write 0), and the loop-walk state. The
+// static program itself is not serialized — it is a pure function of
+// (profile, seed), shared read-only by every generator over it, and the
+// restoring side builds (or shares) it before calling ReadState.
 func (g *Generator) AppendState(w *snap.Writer) {
 	g.src.AppendState(w)
-	w.U32(uint32(g.StaticFootprint()))
-	for li := range g.loops {
-		for ii := range g.loops[li].insts {
-			w.U64(g.loops[li].insts[ii].cursor)
-		}
+	w.U32(uint32(len(g.cursors)))
+	for _, c := range g.cursors {
+		w.U64(c)
 	}
 	w.U64(g.coldNext)
 	w.I64(int64(g.curLoop))
@@ -31,22 +30,20 @@ func (g *Generator) AppendState(w *snap.Writer) {
 	w.U64(g.emitted)
 }
 
-// ReadState restores state written by AppendState. The receiver must have
-// been built by NewGenerator with the same (profile, seed) the writer used —
-// the static-footprint check catches a mismatched program, and the loop
-// indices are bounds-checked.
+// ReadState restores state written by AppendState. The receiver must walk a
+// program of the same (profile, seed) the writer's did — the
+// static-footprint check catches a mismatched program, and the loop indices
+// are bounds-checked.
 func (g *Generator) ReadState(r *snap.Reader) error {
 	if err := g.src.ReadState(r); err != nil {
 		return err
 	}
-	if got := int(r.U32()); got != g.StaticFootprint() {
+	if got := int(r.U32()); got != len(g.cursors) {
 		return fmt.Errorf("%w: static footprint %d, have %d",
-			snap.ErrCorrupt, got, g.StaticFootprint())
+			snap.ErrCorrupt, got, len(g.cursors))
 	}
-	for li := range g.loops {
-		for ii := range g.loops[li].insts {
-			g.loops[li].insts[ii].cursor = r.U64()
-		}
+	for i := range g.cursors {
+		g.cursors[i] = r.U64()
 	}
 	g.coldNext = r.U64()
 	g.curLoop = int(r.I64())
@@ -61,12 +58,12 @@ func (g *Generator) ReadState(r *snap.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if g.curLoop < 0 || g.curLoop >= len(g.loops) {
-		return fmt.Errorf("%w: loop index %d of %d", snap.ErrCorrupt, g.curLoop, len(g.loops))
+	loops := g.prog.loops
+	if g.curLoop < 0 || g.curLoop >= len(loops) {
+		return fmt.Errorf("%w: loop index %d of %d", snap.ErrCorrupt, g.curLoop, len(loops))
 	}
-	if g.pos < 0 || g.pos >= len(g.loops[g.curLoop].insts) {
-		return fmt.Errorf("%w: position %d in loop of %d",
-			snap.ErrCorrupt, g.pos, len(g.loops[g.curLoop].insts))
+	if n := loops[g.curLoop].end - loops[g.curLoop].start; g.pos < 0 || g.pos >= n {
+		return fmt.Errorf("%w: position %d in loop of %d", snap.ErrCorrupt, g.pos, n)
 	}
 	if g.ringPos < 0 || g.ringPos >= len(g.ring) {
 		return fmt.Errorf("%w: ring position %d", snap.ErrCorrupt, g.ringPos)
