@@ -65,7 +65,10 @@ type line struct {
 	lru   uint64 // last-touch stamp; larger is more recent
 }
 
-// Cache is a set-associative cache with true-LRU replacement.
+// Cache is a set-associative cache with true-LRU replacement. It holds a
+// set only once something touches it: until then sets[i] is nil. A fresh
+// cache builds every set on its first access; a restored one decodes each
+// set from the snapshot bytes the first time it is reached (see ReadState).
 type Cache struct {
 	cfg       CacheConfig
 	sets      [][]line
@@ -74,20 +77,31 @@ type Cache struct {
 	tagShift  uint // log2 of the set count: the tag is the line address above the index
 	stamp     uint64
 	Stats     CacheStats
+
+	block   []line // unused rest of the block carve takes sets from
+	unbuilt int    // number of nil entries in sets
+
+	// src holds the set records of a restored cache and recs the offset in
+	// src of each set's record; both are nil unless the cache was restored.
+	// src aliases the snapshot bytes.
+	src  []byte
+	recs []uint32
 }
 
-// setChunkBytes bounds the blocks NewCache carves sets out of. One block per
-// set costs the 8 MB L2 8,192 allocations per machine. One block per cache
+// setChunkBytes bounds the blocks carve takes sets from. One block per set
+// costs the 8 MB L2 8,192 allocations per machine. One block per cache
 // makes it a 3 MB object, which raised the cold-cells benchmark's resident
 // set from ~23.8 to ~26.7 MB (2-vCPU x86-64 host). Blocks within the
-// runtime's 32 KB small-object limit avoid both.
+// runtime's 32 KB small-object limit avoid both, and let a restored cache
+// allocate only the few blocks the sets it touches need.
 const setChunkBytes = 32 << 10
 
 // lineBytes is the in-memory size of one line record.
 const lineBytes = int(unsafe.Sizeof(line{}))
 
 // NewCache builds a cache from cfg. It panics on invalid configuration —
-// configurations are program constants, not runtime input.
+// configurations are program constants, not runtime input. It allocates no
+// set storage: the first access does.
 func NewCache(cfg CacheConfig) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -98,20 +112,52 @@ func NewCache(cfg CacheConfig) *Cache {
 		sets:     make([][]line, numSets),
 		setMask:  uint64(numSets - 1),
 		tagShift: uint(bits.TrailingZeros(uint(numSets))),
-	}
-	setsPerChunk := max(1, setChunkBytes/(cfg.Ways*lineBytes))
-	var chunk []line
-	for i := range c.sets {
-		if len(chunk) == 0 {
-			chunk = make([]line, min(setsPerChunk, numSets-i)*cfg.Ways)
-		}
-		c.sets[i] = chunk[:cfg.Ways:cfg.Ways]
-		chunk = chunk[cfg.Ways:]
+		unbuilt:  numSets,
 	}
 	for ls := cfg.LineBytes; ls > 1; ls >>= 1 {
 		c.lineShift++
 	}
 	return c
+}
+
+// set returns set i, materializing it on first touch.
+func (c *Cache) set(i uint64) []line {
+	if s := c.sets[i]; s != nil {
+		return s
+	}
+	return c.materialize(i)
+}
+
+// materialize builds set i. A restored cache decodes that one set from its
+// snapshot record. Any other cache builds every set still missing, in index
+// order, so a fresh cache lays out exactly as if it were built whole.
+func (c *Cache) materialize(i uint64) []line {
+	if c.src == nil {
+		for j, s := range c.sets {
+			if s == nil {
+				c.sets[j] = c.carve()
+			}
+		}
+		return c.sets[i]
+	}
+	s := c.carve()
+	c.decode(s, c.recs[i])
+	c.sets[i] = s
+	return s
+}
+
+// carve returns a zeroed set of cfg.Ways lines, cut from blocks of at most
+// setChunkBytes that hold no more sets than are still missing.
+func (c *Cache) carve() []line {
+	w := c.cfg.Ways
+	if len(c.block) == 0 {
+		perBlock := max(1, setChunkBytes/(w*lineBytes))
+		c.block = make([]line, min(perBlock, c.unbuilt)*w)
+	}
+	s := c.block[:w:w]
+	c.block = c.block[w:]
+	c.unbuilt--
+	return s
 }
 
 // Config returns the cache's configuration.
@@ -127,8 +173,10 @@ func (c *Cache) Access(addr uint64) bool {
 	c.stamp++
 	c.Stats.Accesses++
 	lineAddr := addr >> c.lineShift
-	set := c.sets[lineAddr&c.setMask]
+	set := c.set(lineAddr & c.setMask)
 	tag := lineAddr >> c.tagShift
+	// The victim is the first invalid way, else the least recently used one:
+	// an invalid way is the zero line, whose stamp no later way undercuts.
 	victim := 0
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -140,13 +188,6 @@ func (c *Cache) Access(addr uint64) bool {
 			victim = i
 		}
 	}
-	// Prefer an invalid way outright.
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-	}
 	set[victim] = line{tag: tag, valid: true, lru: c.stamp}
 	c.Stats.Misses++
 	return false
@@ -155,7 +196,7 @@ func (c *Cache) Access(addr uint64) bool {
 // Probe reports whether addr currently hits without disturbing LRU or stats.
 func (c *Cache) Probe(addr uint64) bool {
 	lineAddr := addr >> c.lineShift
-	set := c.sets[lineAddr&c.setMask]
+	set := c.set(lineAddr & c.setMask)
 	tag := lineAddr >> c.tagShift
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -165,13 +206,15 @@ func (c *Cache) Probe(addr uint64) bool {
 	return false
 }
 
-// Reset invalidates all lines and clears statistics.
+// Reset invalidates all lines and clears statistics. A restored cache
+// forgets its snapshot: the sets it has not built yet are built empty.
 func (c *Cache) Reset() {
 	for i := range c.sets {
 		for j := range c.sets[i] {
 			c.sets[i][j] = line{}
 		}
 	}
+	c.src, c.recs = nil, nil
 	c.stamp = 0
 	c.Stats = CacheStats{}
 }

@@ -172,6 +172,11 @@ func (p *Pipeline) SnapshotState() ([]byte, error) {
 // retargeted with SetVDD afterwards. Statistics are zeroed, mirroring the
 // warmup boundary: a restored machine behaves exactly like one that just
 // finished WarmupContext.
+//
+// The caches validate every set record of b here but decode none: they keep
+// a reference to b and decode each set the first time it is reached. b must
+// therefore not change while the machine lives; concurrent restores may
+// share it, since nothing writes to it.
 func (p *Pipeline) RestoreState(b []byte) error {
 	if err := p.CheckDrained(); err != nil {
 		return fmt.Errorf("pipeline: restore into a non-drained machine: %w", err)

@@ -104,7 +104,7 @@ type Session struct {
 	// owesPrefill marks the L2 working-set prefill of warmBase/warmSize as
 	// still to be done. New defers it to the first simulated cycle (see
 	// payPrefill), and a successful Restore cancels it: the snapshot
-	// rewrites every L2 set, so a restored session never pays for it.
+	// defines every L2 set, so a restored session never pays for it.
 	owesPrefill        bool
 	warmBase, warmSize uint64
 
@@ -296,6 +296,11 @@ func (s *Session) Snapshot() ([]byte, error) {
 // additionally verifies geometry field by field. After Restore the session
 // behaves as if WarmupNeutral had just completed. A successful Restore
 // cancels the L2 prefill New deferred.
+//
+// The restored caches keep a reference to snapshot and decode each set from
+// it the first time the set is reached, so snapshot must not change while
+// the session lives. Any number of sessions may restore one snapshot at
+// once.
 func (s *Session) Restore(snapshot []byte) error {
 	defer s.phase("restore")()
 	if s.warmed || s.measured {

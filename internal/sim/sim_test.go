@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -77,8 +78,8 @@ func TestDeferredPrefillMatchesEager(t *testing.T) {
 		t.Fatal("deferred prefill changed the donor snapshot")
 	}
 
-	// Restore replaces every L2 set, so it cancels the debt; the restored
-	// run matches one restored over an eagerly prefilled machine.
+	// The snapshot defines every L2 set, so Restore cancels the debt; the
+	// restored run matches one restored over an eagerly prefilled machine.
 	var stats [2]pipeline.Stats
 	for i, eager := range []bool{false, true} {
 		s := build(eager)
@@ -162,6 +163,74 @@ func TestImageSharedAcrossConcurrentSessions(t *testing.T) {
 	}
 	if img, ok := images.Get(key); !ok || img != shared {
 		t.Error("a session rebuilt the image it should have shared")
+	}
+}
+
+// TestRestoreSharedSnapshotConcurrently restores one donor snapshot — a
+// single []byte, which each restored cache reads its sets from as it first
+// touches them — into the five schemes of one (benchmark, seed) at the same
+// time. Before it runs, every restored session must snapshot to the donor's
+// exact bytes, and every cell's Stats must equal the same cell restored from
+// a private copy and run alone.
+func TestRestoreSharedSnapshotConcurrently(t *testing.T) {
+	ctx := context.Background()
+	cfg := func(sc core.Scheme) Config {
+		return Config{Benchmark: "xalancbmk", Scheme: sc, VDD: fault.VHighFault, Warmup: 20000, Seed: 9}
+	}
+	donor, err := New(cfg(core.ABS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := donor.WarmupNeutral(ctx); err != nil {
+		t.Fatal(err)
+	}
+	shared, err := donor.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemes := []core.Scheme{core.Razor, core.EP, core.ABS, core.FFS, core.CDS}
+	run := func(sc core.Scheme, b []byte) (pipeline.Stats, error) {
+		s, err := New(cfg(sc))
+		if err != nil {
+			return pipeline.Stats{}, err
+		}
+		if err := s.Restore(b); err != nil {
+			return pipeline.Stats{}, err
+		}
+		again, err := s.Snapshot()
+		if err != nil {
+			return pipeline.Stats{}, err
+		}
+		if !bytes.Equal(again, shared) {
+			return pipeline.Stats{}, fmt.Errorf("a restored session snapshots to other bytes than its donor")
+		}
+		return s.Run(ctx, 8000)
+	}
+
+	want := make([]pipeline.Stats, len(schemes))
+	for i, sc := range schemes {
+		if want[i], err = run(sc, bytes.Clone(shared)); err != nil {
+			t.Fatalf("%v: %v", sc, err)
+		}
+	}
+	got := make([]pipeline.Stats, len(schemes))
+	errs := make([]error, len(schemes))
+	var wg sync.WaitGroup
+	for i, sc := range schemes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = run(sc, shared)
+		}()
+	}
+	wg.Wait()
+	for i, sc := range schemes {
+		if errs[i] != nil {
+			t.Fatalf("%v: %v", sc, errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%v: restoring a shared snapshot changed the run:\n got %+v\nwant %+v", sc, got[i], want[i])
+		}
 	}
 }
 

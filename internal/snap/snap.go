@@ -108,6 +108,20 @@ func (r *Reader) I64() int64 { return int64(r.U64()) }
 // F64 reads a float64.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
+// Skip advances past n bytes without decoding them.
+func (r *Reader) Skip(n int) { r.take(n) }
+
+// Tail returns the unread bytes without copying them. The result aliases
+// the wrapped slice and is capacity-limited, so appending to it reallocates
+// rather than writing past the wrapped bytes. It does not advance the
+// reader: a decoder walks the tail itself and then Skips what it consumed.
+func (r *Reader) Tail() []byte {
+	if r.err != nil {
+		return nil
+	}
+	return r.b[r.pos:len(r.b):len(r.b)]
+}
+
 // Err returns the sticky decode error, if any.
 func (r *Reader) Err() error { return r.err }
 

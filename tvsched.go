@@ -477,6 +477,11 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 // session's WarmKey (the machine additionally verifies geometry field by
 // field). After Restore the session behaves exactly as if WarmupNeutral had
 // just completed.
+//
+// Restore validates all of snap.Data but does not copy it: the session's
+// caches decode each set from snap.Data the first time it is reached. The
+// bytes must not change while the session lives; any number of sessions may
+// restore one Snapshot at the same time.
 func (s *Session) Restore(snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("tvsched: Restore(nil)")
