@@ -222,22 +222,11 @@ func BenchmarkObserverOverhead(b *testing.B) {
 		{"metrics", func() tvsched.Observer { return tvsched.NewMetrics() }},
 		{"chrometrace", func() tvsched.Observer { return tvsched.NewChromeTracer() }},
 	}
-	prof, _ := workload.ByName("bzip2")
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			gen, err := workload.NewGenerator(prof, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
 			cfg := pipeline.DefaultConfig()
-			cfg.MispredictRate = prof.MispredictRate
 			cfg.Observer = tc.mk()
-			fc := fault.DefaultConfig(1)
-			fc.Bias = prof.FaultBias
-			p, err := pipeline.New(cfg, gen, fault.New(fc), fault.VHighFault)
-			if err != nil {
-				b.Fatal(err)
-			}
+			p, _ := productionPipeline(b, cfg, "bzip2")
 			b.ResetTimer()
 			if _, err := p.Run(uint64(b.N)); err != nil {
 				b.Fatal(err)
@@ -530,19 +519,7 @@ func BenchmarkSweepWarm(b *testing.B) {
 // zero-alloc contract internal/pipeline/alloc_test.go pins shows up here as
 // 0 allocs/op.
 func BenchmarkCycleLoop(b *testing.B) {
-	prof, _ := workload.ByName("bzip2")
-	gen, err := workload.NewGenerator(prof, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := pipeline.DefaultConfig()
-	cfg.MispredictRate = prof.MispredictRate
-	fc := fault.DefaultConfig(1)
-	fc.Bias = prof.FaultBias
-	p, err := pipeline.New(cfg, gen, fault.New(fc), fault.VHighFault)
-	if err != nil {
-		b.Fatal(err)
-	}
+	p, gen := productionPipeline(b, pipeline.DefaultConfig(), "bzip2")
 	p.PrefillData(gen.WarmRegion())
 	if err := p.Warmup(10000); err != nil {
 		b.Fatal(err)
@@ -554,4 +531,26 @@ func BenchmarkCycleLoop(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(b.Elapsed())/float64(st.Cycles), "ns/cycle")
+}
+
+// productionPipeline builds a 0.97 V pipeline over bench at seed 1 the way
+// sessions do: a generator over the shared program image, and a fault model
+// whose per-PC tail masks are tabulated over that program's code, so fetch
+// reads the table instead of hashing.
+func productionPipeline(b *testing.B, cfg pipeline.Config, bench string) (*pipeline.Pipeline, *workload.Generator) {
+	b.Helper()
+	prof, _ := workload.ByName(bench)
+	prog, err := workload.NewProgram(prof, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := prog.NewGenerator()
+	cfg.MispredictRate = prof.MispredictRate
+	fc := fault.DefaultConfig(1)
+	fc.Bias = prof.FaultBias
+	p, err := pipeline.New(cfg, gen, fault.NewWithTable(fc, workload.CodeBase, prog.StaticFootprint()), fault.VHighFault)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p, gen
 }

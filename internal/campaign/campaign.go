@@ -88,6 +88,9 @@ func (s Spec) normalized() Spec {
 type Cell struct {
 	Index  int
 	Config tvsched.Config
+	// Group is the cell's warm group within the Execute call running it
+	// (nil outside one, or when the plan does not checkpoint).
+	Group *Group
 }
 
 // Plan is a validated, hashable campaign: axes parsed and checked once, cells

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sync/atomic"
 	"time"
 )
 
@@ -84,6 +85,48 @@ type Stats struct {
 // Errors is the failed-cell count.
 func (s Stats) Errors() int { return s.Counts[ClassError] }
 
+// Group is one warm group's share of an Execute call: the cells with one
+// WarmKey that the call runs, journaled cells excluded. Execute counts them
+// before it launches any cell. A runner that holds state for the group — the
+// LocalRunner's warm snapshot — calls Done as each of them finishes, and
+// releases the state once Done reports the last.
+type Group struct {
+	// Key is the group's WarmKey.
+	Key  string
+	left atomic.Int64
+}
+
+// Done records that one of the group's cells finished and reports whether
+// it was the last one the Execute call runs. A nil Group never reports it.
+func (g *Group) Done() bool { return g != nil && g.left.Add(-1) == 0 }
+
+// warmGroups counts, per warm group, the cells of plan that Execute will
+// run: those j has not journaled. Within a plan a cell's benchmark and seed
+// determine its WarmKey, so the key is computed once per such pair.
+func warmGroups(plan *Plan, j *Journal) map[warmID]*Group {
+	groups := make(map[warmID]*Group)
+	for i := 0; i < plan.Total(); i++ {
+		if j != nil && j.Done(i) {
+			continue
+		}
+		cfg := plan.Cell(i).Config
+		id := warmID{cfg.Benchmark, cfg.Seed}
+		g := groups[id]
+		if g == nil {
+			g = &Group{Key: cfg.WarmKey()}
+			groups[id] = g
+		}
+		g.left.Add(1)
+	}
+	return groups
+}
+
+// warmID is the part of a plan cell that picks its warm group.
+type warmID struct {
+	benchmark string
+	seed      uint64
+}
+
 type indexedResult struct {
 	index int
 	res   CellResult
@@ -120,6 +163,10 @@ func Execute(ctx context.Context, plan *Plan, j *Journal, run Runner, w io.Write
 	// always its first cell — but under concurrency that is a tendency, not a
 	// guarantee, which is why only Cache may vary between runs of a plan with
 	// duplicate digests.
+	var groups map[warmID]*Group
+	if plan.Checkpoint() {
+		groups = warmGroups(plan, j)
+	}
 	results := make(chan indexedResult, opts.Window)
 	window := make(chan struct{}, opts.Window)
 	sem := make(chan struct{}, opts.Workers)
@@ -139,6 +186,7 @@ func Execute(ctx context.Context, plan *Plan, j *Journal, run Runner, w io.Write
 				return
 			}
 			cell := plan.Cell(i)
+			cell.Group = groups[warmID{cell.Config.Benchmark, cell.Config.Seed}]
 			go func(cell Cell) {
 				defer func() { <-sem }()
 				cellStart := time.Now()

@@ -24,7 +24,10 @@ type ReportFunc func(cfg tvsched.Config, res tvsched.Result) ([]byte, error)
 // WarmKey. Every group's first cell leads one donor warmup and every cell of
 // the group, the leader included, restores it ("restored"); a concurrent
 // duplicate joins the running lead ("shared"), a later one reuses its bytes
-// ("hit"), and so does a cell the store already holds.
+// ("hit"), and so does a cell the store already holds. The runner drops a
+// group's snapshot once the last cell of the group that Execute runs has
+// finished (Cell.Group); sessions restored from it keep its bytes alive
+// while they live.
 type LocalRunner struct {
 	// Checkpoint enables the warm-snapshot sharing tier; off, every cell
 	// warms up from scratch ("cold"). Results are byte-identical either way.
@@ -44,12 +47,19 @@ type LocalRunner struct {
 // Run executes one cell.
 func (r *LocalRunner) Run(ctx context.Context, cell Cell) CellResult {
 	r.once.Do(func() {
-		// Both memos keep everything for the runner's lifetime: campaign
-		// order puts the cells of one warm group a stride of #seeds apart,
-		// so any bound below the group count would re-run warmups.
+		// Neither memo is bounded: campaign order puts the cells of one
+		// warm group a stride of #seeds apart, so any bound below the group
+		// count would re-run warmups. A snapshot leaves its memo when its
+		// group's last cell finishes instead; results stay for the runner's
+		// lifetime, to answer duplicate digests.
 		r.results = &resolve.Flight{Memo: lru.New[string, []byte](math.MaxInt)}
 		r.snaps = &resolve.Flight{Memo: lru.New[string, []byte](math.MaxInt)}
 	})
+	defer func() {
+		if cell.Group.Done() {
+			r.snaps.Memo.Remove(cell.Group.Key)
+		}
+	}()
 	digest := cell.Config.Digest()
 	body, prov, err := r.results.Do(ctx, digest, nil, func(ctx context.Context) ([]byte, resolve.Source, error) {
 		return r.lead(ctx, cell.Config, digest)

@@ -6,11 +6,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"tvsched"
+	"tvsched/internal/resil/chaos"
 	"tvsched/internal/store"
 )
 
@@ -253,5 +257,114 @@ func TestLocalRunnerDuplicateIsShared(t *testing.T) {
 	}
 	if r := lr.Run(context.Background(), cells[1]); r.Class != ClassHit || r.Cache != "hit" {
 		t.Fatalf("settled duplicate: class %v cache %q, want hit", r.Class, r.Cache)
+	}
+}
+
+// releasePlan is 3 benchmarks × 2 schemes × 2 seeds of tiny real cells: 12
+// cells in 6 warm groups, the 2 groups of one benchmark interleaved (seeds
+// vary fastest).
+func releasePlan(t *testing.T) *Plan {
+	t.Helper()
+	on := true
+	plan, err := NewPlan(Spec{
+		Benchmarks:   []string{"bzip2", "mcf", "sjeng"},
+		Schemes:      []string{"ABS", "FFS"},
+		Seeds:        []uint64{1, 2},
+		Instructions: 2000,
+		Warmup:       2000,
+		Checkpoint:   &on,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// executeReleasing runs plan through a fresh checkpointing LocalRunner on
+// workers workers, journaled in j (nil for none). It returns the donor
+// warmups the run paid and the most snapshots the runner held at any
+// lifecycle phase of any cell, and fails unless the runner ends holding none.
+func executeReleasing(t *testing.T, plan *Plan, j *Journal, workers int) (donors, peak int, stats Stats) {
+	t.Helper()
+	lr := &LocalRunner{Checkpoint: true, Render: localRender}
+	var pc phaseCounter
+	var mu sync.Mutex
+	run := func(ctx context.Context, cell Cell) CellResult {
+		cell.Config.PhaseHook = func(phase string, d time.Duration) {
+			pc.hook(phase, d)
+			mu.Lock()
+			peak = max(peak, lr.snaps.Memo.Len())
+			mu.Unlock()
+		}
+		return lr.Run(ctx, cell)
+	}
+	stats, err := Execute(context.Background(), plan, j, run, io.Discard, Options{Workers: workers})
+	if err != nil || stats.Errors() != 0 {
+		t.Fatalf("execute: %v, %d failed cells", err, stats.Errors())
+	}
+	if n := lr.snaps.Memo.Len(); n != 0 {
+		t.Fatalf("the runner still holds %d snapshots after the campaign", n)
+	}
+	return pc.count("warmup_neutral"), peak, stats
+}
+
+// TestLocalRunnerReleasesSnapshots: the runner drops a warm group's snapshot
+// once the group's last cell has finished. It holds at most the interleaved
+// groups plus one per worker, none at the end, and still pays exactly one
+// donor warmup per warm group.
+func TestLocalRunnerReleasesSnapshots(t *testing.T) {
+	plan := releasePlan(t)
+	const workers, interleaved = 2, 2
+	donors, peak, _ := executeReleasing(t, plan, nil, workers)
+	if donors != plan.WarmGroups() {
+		t.Fatalf("%d donor warmups, want one per warm group (%d)", donors, plan.WarmGroups())
+	}
+	if peak < 1 || peak > interleaved+workers {
+		t.Fatalf("held up to %d snapshots, want 1..%d", peak, interleaved+workers)
+	}
+}
+
+// TestLocalRunnerReleasesAfterResume: a resumed campaign counts only the
+// cells its journal lacks. It pays one donor per warm group that still has
+// cells to run and releases every snapshot it made.
+func TestLocalRunnerReleasesAfterResume(t *testing.T) {
+	plan := releasePlan(t)
+	path := filepath.Join(t.TempDir(), "c.tvcj")
+	j, err := OpenJournal(path, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	executeReleasing(t, plan, j, 2)
+	j.Close()
+	// Tear the journal's tail back to about the first third of the cells.
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := chaos.TearTail(path, st.Size()*2/3); err != nil {
+		t.Fatal(err)
+	}
+	j, err = OpenJournal(path, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	pending := make(map[string]bool)
+	for i := 0; i < plan.Total(); i++ {
+		if !j.Done(i) {
+			pending[plan.Cell(i).Config.WarmKey()] = true
+		}
+	}
+	done := j.DoneCount()
+	if done == 0 || len(pending) == 0 || len(pending) == plan.WarmGroups() {
+		t.Fatalf("tear left %d of %d cells journaled and %d of %d groups with cells to run: want both counts strictly between",
+			done, plan.Total(), len(pending), plan.WarmGroups())
+	}
+	donors, _, stats := executeReleasing(t, plan, j, 2)
+	if donors != len(pending) {
+		t.Fatalf("resume paid %d donor warmups, want one per group with cells left (%d)", donors, len(pending))
+	}
+	if stats.Replayed != done {
+		t.Fatalf("resume replayed %d cells, want %d", stats.Replayed, done)
 	}
 }

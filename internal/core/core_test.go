@@ -2,6 +2,9 @@ package core
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -371,5 +374,102 @@ func TestKindFor(t *testing.T) {
 func TestFUKindString(t *testing.T) {
 	if FUSimple.String() != "simple" || FUComplex.String() != "complex" || FUMemory.String() != "memory" {
 		t.Fatal("kind names")
+	}
+}
+
+// orderBefore is the comparison Order used before candidates carried a
+// precomputed key: whether a outranks b under policy p. It stays here as the
+// reference TestOrderMatchesReference checks the keyed sort against.
+func orderBefore(p Policy, a, b Candidate, now uint8) bool {
+	if pa, pb := refPrio(p, a), refPrio(p, b); pa != pb {
+		return pa > pb
+	}
+	if aa, ab := Age(a.Timestamp, now), Age(b.Timestamp, now); aa != ab {
+		return aa > ab
+	}
+	return a.Index < b.Index
+}
+
+// refPrio is the reference priority class: 1 selects ahead of 0.
+func refPrio(p Policy, c Candidate) int {
+	switch p {
+	case FaultyFirst:
+		if c.Faulty {
+			return 1
+		}
+	case CriticalityDriven:
+		if c.Faulty && c.Critical {
+			return 1
+		}
+	}
+	return 0
+}
+
+// TestOrderMatchesReference checks the keyed Order against a stable sort by
+// orderBefore on random candidate sets of up to 64 entries (the largest
+// issue queue a preset builds) under all three policies. Timestamps are
+// consecutive mod-64 stamps of a queue that has wrapped (an old entry can
+// be 64 or more allocations behind a young one), with ties; indices are a
+// shuffle of distinct values, as the pipeline's are.
+func TestOrderMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 20000; trial++ {
+		n := r.Intn(65)
+		now := uint8(r.Intn(256))
+		c := make([]Candidate, n)
+		perm := r.Perm(n + r.Intn(8))
+		alloc := r.Intn(512)
+		for i := range c {
+			alloc += r.Intn(5) // 0 repeats a stamp: an age tie
+			c[i] = Candidate{Index: perm[i], Timestamp: uint8(alloc) & TimestampMask,
+				Faulty: r.Intn(3) == 0, Critical: r.Intn(2) == 0}
+		}
+		for _, pol := range []Policy{AgeBased, FaultyFirst, CriticalityDriven} {
+			got := slices.Clone(c)
+			want := slices.Clone(c)
+			Order(pol, got, now&TimestampMask)
+			sort.SliceStable(want, func(i, j int) bool { return orderBefore(pol, want[i], want[j], now&TimestampMask) })
+			for i := range got {
+				if got[i].Index != want[i].Index {
+					t.Fatalf("trial %d %v: position %d holds index %d, reference %d\ncands %+v",
+						trial, pol, i, got[i].Index, want[i].Index, c)
+				}
+			}
+		}
+	}
+}
+
+// TestFUSRAvailableMatchesLinearScan checks the per-kind lane range against
+// the scan over every lane Available used to make: same lowest lane, or -1,
+// for random lane counts and reservation histories.
+func TestFUSRAvailableMatchesLinearScan(t *testing.T) {
+	linear := func(f *FUSR, kind FUKind, cycle uint64) int {
+		for i := range f.lanes {
+			if f.lanes[i].Kind == kind && f.lanes[i].nextFree <= cycle {
+				return i
+			}
+		}
+		return -1
+	}
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		f := NewFUSR(r.Intn(5), r.Intn(3), r.Intn(4))
+		for cycle := uint64(0); cycle < 200; cycle++ {
+			for k := FUKind(0); k < NumFUKinds; k++ {
+				got, want := f.Available(k, cycle), linear(f, k, cycle)
+				if got != want {
+					t.Fatalf("trial %d cycle %d %v: Available = %d, linear scan %d", trial, cycle, k, got, want)
+				}
+				if got >= 0 && r.Intn(2) == 0 {
+					f.Issue(got, cycle, 1+r.Intn(4), r.Intn(2) == 0, r.Intn(4) == 0)
+				}
+			}
+			if f.NumLanes() > 0 && r.Intn(8) == 0 {
+				f.Freeze(r.Intn(f.NumLanes()), cycle+uint64(r.Intn(3)))
+			}
+			if r.Intn(16) == 0 {
+				f.ShiftAll(cycle)
+			}
+		}
 	}
 }

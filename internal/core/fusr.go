@@ -48,6 +48,9 @@ type Lane struct {
 // implemented by extending a lane's busy time by one cycle.
 type FUSR struct {
 	lanes []Lane
+	// first[k] is the index of kind k's first lane: NewFUSR lays the kinds
+	// out in FUKind order, so kind k owns lanes [first[k], first[k+1]).
+	first [NumFUKinds + 1]int
 	obs   obs.Observer
 }
 
@@ -59,15 +62,13 @@ func (f *FUSR) SetObserver(o obs.Observer) { f.obs = o }
 // ALUs, nComplex complex ALUs and nMemory memory ports.
 func NewFUSR(nSimple, nComplex, nMemory int) *FUSR {
 	f := &FUSR{}
-	for i := 0; i < nSimple; i++ {
-		f.lanes = append(f.lanes, Lane{Kind: FUSimple})
+	for k, n := range [NumFUKinds]int{nSimple, nComplex, nMemory} {
+		f.first[k] = len(f.lanes)
+		for i := 0; i < n; i++ {
+			f.lanes = append(f.lanes, Lane{Kind: FUKind(k)})
+		}
 	}
-	for i := 0; i < nComplex; i++ {
-		f.lanes = append(f.lanes, Lane{Kind: FUComplex})
-	}
-	for i := 0; i < nMemory; i++ {
-		f.lanes = append(f.lanes, Lane{Kind: FUMemory})
-	}
+	f.first[NumFUKinds] = len(f.lanes)
 	return f
 }
 
@@ -77,11 +78,12 @@ func (f *FUSR) NumLanes() int { return len(f.lanes) }
 // Kind returns the kind of lane i.
 func (f *FUSR) Kind(i int) FUKind { return f.lanes[i].Kind }
 
-// Available returns the index of a lane of the given kind that can accept an
-// instruction at cycle, or -1 if none can.
+// Available returns the index of the lowest lane of the given kind that can
+// accept an instruction at cycle, or -1 if none can. Only that kind's lanes
+// are scanned.
 func (f *FUSR) Available(kind FUKind, cycle uint64) int {
-	for i := range f.lanes {
-		if f.lanes[i].Kind == kind && f.lanes[i].nextFree <= cycle {
+	for i := f.first[kind]; i < f.first[kind+1]; i++ {
+		if f.lanes[i].nextFree <= cycle {
 			return i
 		}
 	}

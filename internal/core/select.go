@@ -50,7 +50,8 @@ func Age(ts, now uint8) uint8 {
 // (§3.5.1), plus an opaque index the caller uses to map the decision back to
 // its own structures.
 type Candidate struct {
-	// Index identifies the entry to the caller.
+	// Index identifies the entry to the caller. Order requires the indices of
+	// one candidate set to be distinct.
 	Index int
 	// Timestamp is the 6-bit allocation timestamp.
 	Timestamp uint8
@@ -58,6 +59,8 @@ type Candidate struct {
 	Faulty bool
 	// Critical is the CDL-learned criticality bit (meaningful with Faulty).
 	Critical bool
+
+	key uint8 // (priority, age) rank under the policy being ordered by (see sortKey)
 }
 
 // Order sorts cands in selection-priority order (highest priority first) for
@@ -65,17 +68,21 @@ type Candidate struct {
 // (for modulo-64 age comparison). The sort is deterministic: ties break by
 // age and then by Index.
 //
-// The comparison is a strict total order (priority, then age, then the unique
-// Index), so the simple insertion sort below produces exactly the ordering
-// sort.SliceStable used to — without the closure and interface-header
-// allocations that put the standard sort on the heap profile of every
-// simulated cycle. Candidate slices are issue-queue sized (tens of entries),
-// where insertion sort is also the faster algorithm.
+// Each candidate's (priority, age) rank is computed once, as one integer
+// (sortKey), and the Index breaks rank ties, so the comparison is a strict
+// total order and the simple insertion sort below produces exactly the
+// ordering sort.SliceStable used to — without the closure and
+// interface-header allocations that put the standard sort on the heap
+// profile of every simulated cycle. Candidate slices are issue-queue sized
+// (tens of entries), where insertion sort is also the faster algorithm.
 func Order(p Policy, cands []Candidate, now uint8) {
+	for i := range cands {
+		cands[i].key = sortKey(p, &cands[i], now)
+	}
 	for i := 1; i < len(cands); i++ {
 		c := cands[i]
 		j := i - 1
-		for j >= 0 && orderBefore(p, c, cands[j], now) {
+		for j >= 0 && (c.key > cands[j].key || c.key == cands[j].key && c.Index < cands[j].Index) {
 			cands[j+1] = cands[j]
 			j--
 		}
@@ -83,30 +90,22 @@ func Order(p Policy, cands []Candidate, now uint8) {
 	}
 }
 
-// orderBefore reports whether a outranks b under policy p.
-func orderBefore(p Policy, a, b Candidate, now uint8) bool {
-	if pa, pb := selPrio(p, a), selPrio(p, b); pa != pb {
-		return pa > pb
-	}
-	if aa, ab := Age(a.Timestamp, now), Age(b.Timestamp, now); aa != ab {
-		return aa > ab
-	}
-	return a.Index < b.Index
-}
-
-// selPrio is the policy's priority class: 1 selects ahead of 0.
-func selPrio(p Policy, c Candidate) int {
+// sortKey packs c's rank under policy p into one byte, higher selecting
+// first: the priority class in bit 6 (faulty under FFS, faulty and critical
+// under CDS) above the 6-bit mod-64 age.
+func sortKey(p Policy, c *Candidate, now uint8) uint8 {
+	var prio uint8
 	switch p {
 	case FaultyFirst:
 		if c.Faulty {
-			return 1
+			prio = 1
 		}
 	case CriticalityDriven:
 		if c.Faulty && c.Critical {
-			return 1
+			prio = 1
 		}
 	}
-	return 0
+	return prio<<TimestampBits | Age(c.Timestamp, now)
 }
 
 // CDL is the Criticality Detection Logic of §3.5.2: when an instruction

@@ -160,40 +160,80 @@ func (e *eagerEnv) state() []byte {
 // TestThermalMatchesEager steps an environment past a full thermal period,
 // reading the thermal factor only on scattered cycles, with and without a
 // hazard, and requires every read, and the snapshot bytes at the end, to
-// equal the eagerly computed state machine's.
+// equal the eagerly computed state machine's. Step must leave the walk
+// pending; a hazard attached or detached, and a snapshot taken (and
+// restored from), with steps pending must not move it.
 func TestThermalMatchesEager(t *testing.T) {
+	h := HazardFunc(func(c uint64) Perturbation {
+		return Perturbation{Delay: 1 + float64(c%7)/20, TailScale: 1 + float64(c%3)}
+	})
 	for _, hazard := range []bool{false, true} {
 		const seed = 11
 		e, ref := NewEnv(VHighFault, seed), newEagerEnv(VHighFault, seed)
-		if hazard {
-			e.SetHazard(HazardFunc(func(c uint64) Perturbation {
-				return Perturbation{Delay: 1 + float64(c%7)/20, TailScale: 1 + float64(c%3)}
-			}))
+		attached := hazard
+		if attached {
+			e.SetHazard(h)
 		}
+		// Cycles at which the hazard is attached or detached, and the cycle a
+		// mid-run snapshot is taken and restored at, between the toggles
+		// of the hazarded run, so that no hazard is attached there.
+		toggles := map[int]bool{50000: true, 52000: true}
+		if hazard {
+			toggles = map[int]bool{50000: true, 60000: true}
+		}
+		const snapAt = 55000
 		pick := rng.New(3)
 		for i := 0; i < 210000; i++ {
 			e.Step()
 			ref.step()
+			if e.Cycle() != ref.cycle || e.walked >= e.cycle {
+				t.Fatalf("hazard=%v step %d: cycle %d (eager %d), walked through %d: Step must only count",
+					hazard, i, e.Cycle(), ref.cycle, e.walked)
+			}
+			if toggles[i] {
+				if attached = !attached; attached {
+					e.SetHazard(h)
+				} else {
+					e.SetHazard(nil)
+				}
+			}
+			if i == snapAt {
+				var w snap.Writer
+				if err := e.AppendState(&w); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(w.B, ref.state()) {
+					t.Fatalf("hazard=%v step %d: snapshot bytes differ from the eager state machine's", hazard, i)
+				}
+				// Continue on an environment restored from those bytes, with
+				// more steps pending before its first read.
+				e = NewEnv(VLowFault, seed+1)
+				if err := e.ReadState(snap.NewReader(w.B)); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
 			if i%997 != 0 && !pick.Bool(0.01) {
 				continue
 			}
-			if math.Float64bits(e.Thermal()) != math.Float64bits(1+0.002*math.Sin(e.phase)+e.walk) {
+			th := e.Thermal()
+			if math.Float64bits(th) != math.Float64bits(1+0.002*math.Sin(e.phase)+e.walk) {
 				t.Fatalf("hazard=%v step %d: Thermal() = %v, 1+0.002·sin(phase)+walk = %v",
-					hazard, i, e.Thermal(), 1+0.002*math.Sin(e.phase)+e.walk)
+					hazard, i, th, 1+0.002*math.Sin(e.phase)+e.walk)
 			}
-			if math.Float64bits(e.Thermal()) != math.Float64bits(ref.thermal) {
-				t.Fatalf("hazard=%v step %d: Thermal() = %v, eager %v", hazard, i, e.Thermal(), ref.thermal)
+			if math.Float64bits(th) != math.Float64bits(ref.thermal) {
+				t.Fatalf("hazard=%v step %d: Thermal() = %v, eager %v", hazard, i, th, ref.thermal)
 			}
 			want := DelayScale(VHighFault) * ref.thermal
-			if hazard {
+			if attached {
 				want *= e.pert.Delay
 			}
 			if e.DelayScale() != want {
 				t.Fatalf("hazard=%v step %d: DelayScale() = %v, eager %v", hazard, i, e.DelayScale(), want)
 			}
 		}
-		// Leave the last cycles unread so the snapshot is what takes the
-		// sine.
+		// Leave the last cycles unread so the snapshot is what steps the walk
+		// and takes the sine.
 		for i := 0; i < 1234; i++ {
 			e.Step()
 			ref.step()

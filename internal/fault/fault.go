@@ -342,14 +342,17 @@ const ReplayScaleLimit = 1.5
 type Env struct {
 	vdd    float64
 	vScale float64
-	// thermal is 1 + 0.002·sin(phase) + walk. Step only advances phase and
-	// walk and marks thermal stale; the first read within a cycle takes the
-	// sine, so cycles nobody reads the thermal factor in skip it.
-	thermal      float64
-	thermalStale bool
-	phase        float64
-	walk         float64
-	src          *rng.Source
+	// thermal is 1 + 0.002·sin(phase) + walk, with phase and walk stepped
+	// through cycle walked. Step only counts cycles: the first read of the
+	// thermal factor after it steps phase and walk through the cycles since
+	// walked, one at a time and with the same RNG draws a per-cycle update
+	// takes, and then takes the sine. Cycles nobody reads the factor in cost
+	// Step one increment.
+	thermal float64
+	phase   float64
+	walk    float64
+	walked  uint64
+	src     *rng.Source
 
 	// Hazard state: cycle counts Steps; the perturbation sampled at the
 	// last Step applies until the next. All zero-cost when hazard is nil.
@@ -379,11 +382,31 @@ func (e *Env) Cycle() uint64 { return e.cycle }
 // Thermal returns the current thermal delay factor (1 ± 0.4%). Exposed so
 // tests can pin that voltage retargets never disturb the thermal transient.
 func (e *Env) Thermal() float64 {
-	if e.thermalStale {
+	if e.walked != e.cycle {
+		e.catchUp()
 		e.thermal = 1 + 0.002*math.Sin(e.phase) + e.walk
-		e.thermalStale = false
 	}
 	return e.thermal
+}
+
+// catchUp steps the thermal state through the cycles Step has counted.
+// Temperature wanders on two time scales: a slow periodic component
+// (package-level) and a bounded random walk (local hotspots). The excursion
+// is ±0.4%, enough to modulate borderline paths without moving the fault
+// population wholesale.
+func (e *Env) catchUp() {
+	for ; e.walked < e.cycle; e.walked++ {
+		e.phase += 2 * math.Pi / 200000
+		if e.phase > 2*math.Pi {
+			e.phase -= 2 * math.Pi
+		}
+		e.walk += (e.src.Float64() - 0.5) * 1e-5
+		if e.walk > 0.002 {
+			e.walk = 0.002
+		} else if e.walk < -0.002 {
+			e.walk = -0.002
+		}
+	}
 }
 
 // SetHazard attaches (or, with nil, detaches) a hazard timeline. The next
@@ -395,24 +418,11 @@ func (e *Env) SetHazard(h Hazard) {
 	}
 }
 
-// Step advances the thermal state; call once per simulated cycle (cheap).
-// Temperature wanders on two time scales: a slow periodic component
-// (package-level) and a bounded random walk (local hotspots). The excursion
-// is ±0.4%, enough to modulate borderline paths without moving the fault
-// population wholesale.
+// Step advances the environment one simulated cycle: it samples the hazard
+// timeline, if one is attached, and counts the cycle for the thermal walk,
+// which Thermal steps when the factor is next read (see catchUp).
 func (e *Env) Step() {
 	e.cycle++
-	e.phase += 2 * math.Pi / 200000
-	if e.phase > 2*math.Pi {
-		e.phase -= 2 * math.Pi
-	}
-	e.walk += (e.src.Float64() - 0.5) * 1e-5
-	if e.walk > 0.002 {
-		e.walk = 0.002
-	} else if e.walk < -0.002 {
-		e.walk = -0.002
-	}
-	e.thermalStale = true
 	if e.hazard != nil {
 		e.pert = e.hazard.At(e.cycle)
 	}

@@ -41,10 +41,10 @@ func (e *Env) ReadState(r *snap.Reader) error {
 	}
 	e.vdd = r.F64()
 	e.thermal = r.F64()
-	e.thermalStale = false
 	e.phase = r.F64()
 	e.walk = r.F64()
 	e.cycle = r.U64()
+	e.walked = e.cycle
 	if e.src == nil {
 		e.src = &rng.Source{}
 	}

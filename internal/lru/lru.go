@@ -63,6 +63,16 @@ func (c *LRU[K, V]) Put(key K, val V) {
 	}
 }
 
+// Remove drops key's entry, if held.
+func (c *LRU[K, V]) Remove(key K) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		c.ll.Remove(el)
+		delete(c.items, key)
+	}
+}
+
 // Len is the number of held entries.
 func (c *LRU[K, V]) Len() int {
 	c.mu.Lock()

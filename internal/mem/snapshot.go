@@ -23,12 +23,16 @@ const wayRecordBytes = 1 + 8 + 8
 func (c *Cache) AppendState(w *snap.Writer) {
 	w.U64(c.stamp)
 	var scratch []line
-	for si, set := range c.sets {
-		if set == nil && c.src != nil {
+	for _, a := range c.at {
+		var set []line
+		switch {
+		case a&builtBit != 0:
+			set = c.builtAt(a)
+		case c.src != nil:
 			if scratch == nil {
 				scratch = make([]line, c.cfg.Ways)
 			}
-			c.decode(scratch, c.recs[si])
+			c.decode(scratch, a)
 			set = scratch
 		}
 		n := 0
@@ -56,20 +60,19 @@ func (c *Cache) AppendState(w *snap.Writer) {
 // truncated, name more valid ways than the cache has, or index a way out of
 // range. Tags and LRU stamps are not checked. Only then does it change the
 // cache, which keeps the bytes of the records — a sub-slice of r's, not a
-// copy — and the offset of each set's record. Each set is decoded the first
-// time Access or Probe reaches it, so the bytes must not change while the
-// cache lives. Where a record names a way twice, the last one wins.
+// copy — and the offset of each set's record, and drops every set it built.
+// Each set is decoded the first time Access or Probe reaches it, so the
+// bytes must not change while the cache lives. Where a record names a way
+// twice, the last one wins.
 func (c *Cache) ReadState(r *snap.Reader) error {
 	stamp := r.U64()
 	b := r.Tail()
-	recs := make([]uint32, len(c.sets))
 	ways := c.cfg.Ways
 	off := 0
-	for si := range recs {
+	for si := range c.at {
 		if off >= len(b) {
 			return fmt.Errorf("%w: %s set %d is truncated", snap.ErrCorrupt, c.cfg.Name, si)
 		}
-		recs[si] = uint32(off)
 		n := int(b[off])
 		if n > ways {
 			return fmt.Errorf("%w: %s set %d has %d valid ways of %d",
@@ -86,10 +89,16 @@ func (c *Cache) ReadState(r *snap.Reader) error {
 			}
 		}
 	}
+	if off >= builtBit {
+		return fmt.Errorf("%w: %s records span %d bytes", snap.ErrCorrupt, c.cfg.Name, off)
+	}
 	r.Skip(off)
-	clear(c.sets)
-	c.unbuilt = len(c.sets)
-	c.src, c.recs = b[:off:off], recs
+	c.src = b[:off:off]
+	for si, rec := 0, 0; si < len(c.at); si++ {
+		c.at[si] = uint32(rec)
+		rec += 1 + int(b[rec])*wayRecordBytes
+	}
+	c.blocks, c.built, c.next = nil, 0, 0
 	c.stamp = stamp
 	c.Stats = CacheStats{}
 	return nil

@@ -94,8 +94,8 @@ func TestResetForgetsSnapshot(t *testing.T) {
 // reference the lazy ReadState is held to.
 func eagerReadState(c *Cache, r *snap.Reader) error {
 	c.stamp = r.U64()
-	for si := range c.sets {
-		set := c.sets[si]
+	for si := range c.NumSets() {
+		set := c.set(uint64(si))
 		for wi := range set {
 			set[wi] = line{}
 		}

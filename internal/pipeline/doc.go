@@ -64,6 +64,12 @@
 //     behind a ReplayBubble machine stall; Config.FullFlushReplay switches
 //     to architectural flush-and-refetch for the ablation.
 //
+// Only an instruction with a fault, predicted (pred.Fault) or actual
+// (fault), acts on this path: about 7% of instructions at 0.97 V and 2% at
+// 1.04 V under ABS. Every handling step is a no-op for the others, so issue,
+// rename/dispatch and retire skip the per-stage checks for them outright: a
+// fault-free instruction pays one test at each of the three points.
+//
 // # Structures
 //
 // ROB (ring buffer), an issue queue woken by event, load/store queue
@@ -72,6 +78,13 @@
 // architectural registers to in-flight producers, and the FUSR lane state
 // (internal/core). Loads remember their cache-fill completion time across
 // squashes so replay cannot erase miss latency already in flight.
+//
+// The ROB and the front-end queue are rings whose indices wrap by a compare
+// and a subtract, not a division. The store-forwarding CAM (storeAt) is what
+// the hardware's is: the addresses of the in-flight stores, at most SQSize
+// of them, searched linearly. It is a multiset: two in-flight stores to one
+// address hold two entries, and a store leaving the window drops one, so a
+// load still forwards from the other.
 //
 // The issue queue is never scanned. Rename links each source to its
 // producer if that has not issued yet, and files the consumer in the

@@ -10,12 +10,17 @@ import (
 // unknown marks a cycle value not yet determined.
 const unknown = math.MaxUint64
 
-// dynInst is one dynamic instruction in flight. Its identity (Seq, In, fault
-// ground truth, oracle branch outcome) is fixed at first fetch and survives
-// replays; pipeline state is reset when the instruction is squashed.
+// dynInst is one dynamic instruction in flight. Its identity (seq, the
+// instruction fields, fault ground truth, oracle branch outcome) is fixed at
+// first fetch and survives replays; pipeline state is reset when the
+// instruction is squashed.
 type dynInst struct {
 	seq uint64
-	in  isa.Inst
+	// The fields of the isa.Inst the loop reads. A branch's outcome (Taken,
+	// Target) is consumed at first fetch, where it trains the predictor.
+	PC, Addr         uint64
+	Class            isa.Class
+	Dest, Src1, Src2 int8
 
 	// Identity decided at first fetch.
 	fault      bool      // ground truth: violates somewhere if given 1 cycle
@@ -38,8 +43,8 @@ type dynInst struct {
 	// producers (waits > 0), the timing-wheel slot of readyAt (its last
 	// producer has issued and broadcasts its tag later), or the ready list.
 	timestamp uint8       // 6-bit mod-64 allocation stamp (§3.5)
-	src       [2]*dynInst // unissued producers; cleared when the producer issues
 	waits     uint8       // distinct unissued producers
+	src       [2]*dynInst // unissued producers; cleared when the producer issues
 	readyAt   uint64      // latest tag broadcast among its issued producers
 	wakeNext  [2]*dynInst // next consumer in src[k]'s chain
 	consumers *dynInst    // head of this producer's chain of waiting consumers
@@ -56,6 +61,18 @@ type dynInst struct {
 	completeAt uint64 // ready to retire
 
 	retired bool
+}
+
+// init makes d the dynamic instance seq of in, with no pipeline state. It
+// sets d field by field: assigning a whole dynInst literal builds it on the
+// stack and copies it, which cost fetch several percent of the loop.
+func (d *dynInst) init(seq uint64, in *isa.Inst) {
+	d.seq = seq
+	d.PC, d.Addr, d.Class = in.PC, in.Addr, in.Class
+	d.Dest, d.Src1, d.Src2 = in.Dest, in.Src1, in.Src2
+	d.fault, d.faultStage, d.mispredict, d.replaySafe = false, 0, false, false
+	d.fillAt, d.history = 0, 0
+	d.resetPipelineState()
 }
 
 // resetPipelineState clears everything a squash must undo, keeping identity.

@@ -68,7 +68,7 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		{"phys leak", drained, func(p *Pipeline) { p.freePhys-- }, "phys conservation"},
 		{"loads leak", drained, func(p *Pipeline) { p.loads++ }, "loads counter"},
 		{"stores leak", drained, func(p *Pipeline) { p.stores++ }, "stores counter"},
-		{"storeAt leak", drained, func(p *Pipeline) { p.storeAt[0x123] = 1 }, "storeAt"},
+		{"storeAt leak", drained, func(p *Pipeline) { p.storeAt = append(p.storeAt, 0x123) }, "storeAt"},
 		{"replay credit", drained, func(p *Pipeline) { p.globalFreezeReplay = p.globalFreeze + 1 }, "freeze credit"},
 		{"ghost ready entry", mid, func(p *Pipeline) {
 			d := &dynInst{seq: 1 << 40}
@@ -480,5 +480,54 @@ func TestRunContextNoProgressReportsCumulativeTarget(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "(10/15 committed)") {
 		t.Fatalf("error %q does not report progress against the cumulative target 15", err)
+	}
+}
+
+// TestStoreForwardingTwoStoresOneAddress runs two stores to one address per
+// iteration: the first independent, so it leaves the window early, the
+// second behind a divide chain, so it stays in flight past the load to that
+// address that follows it. The CAM is a multiset: the first store's leaving
+// must not take the address out while the second is still in flight, so
+// every load forwards and none reaches the D-cache, whose only accesses are
+// the stores' commits. The invariant checker compares the CAM with the ROB
+// every cycle.
+func TestStoreForwardingTwoStoresOneAddress(t *testing.T) {
+	const x = 0x1000_0000
+	insts := []isa.Inst{
+		{Class: isa.Store, Dest: -1, Src1: 28, Src2: -1, Addr: x},
+		{Class: isa.IntDiv, Dest: 9, Src1: 9, Src2: -1},
+		{Class: isa.Store, Dest: -1, Src1: 28, Src2: 9, Addr: x},
+		{Class: isa.Load, Dest: 10, Src1: 28, Src2: -1, Addr: x},
+	}
+	for i := range insts {
+		insts[i].PC = uint64(0x400000 + 4*i)
+		insts[i].NextPC = uint64(0x400000 + 4*((i+1)%len(insts)))
+	}
+	p, err := New(DefaultConfig(), &sliceSource{insts: insts}, fault.New(fault.DefaultConfig(1)), fault.VNominal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	most := 0
+	p.fetchLimit = 4000
+	for p.stats.Committed < p.fetchLimit {
+		p.step()
+		if err := p.CheckInvariants(); err != nil {
+			t.Fatalf("cycle %d: %v", p.cycle, err)
+		}
+		n := 0
+		for i := 0; i < p.robCount; i++ {
+			if e := p.robAt(i); e.Class == isa.Store && e.Addr == x {
+				n++
+			}
+		}
+		most = max(most, n)
+	}
+	if most < 2 {
+		t.Fatalf("at most %d stores to the address were in flight at once, want 2 or more", most)
+	}
+	st := p.stats
+	if acc := p.hier.L1D.Stats.Accesses; acc != st.StoresRetired || st.StoresRetired < 1000 {
+		t.Fatalf("D-cache accesses %d, stores retired %d: some of %d loads missed forwarding",
+			acc, st.StoresRetired, st.ExecByClass[isa.Load])
 	}
 }

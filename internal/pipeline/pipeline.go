@@ -105,7 +105,10 @@ type Pipeline struct {
 	freePhys int
 	loads    int
 	stores   int
-	storeAt  map[uint64]int // in-flight store addresses (LSQ forwarding CAM)
+	// storeAt is the store-forwarding CAM: the addresses of the in-flight
+	// stores, in no particular order. Dispatch bounds it by SQSize, the
+	// capacity it is built with, so appending never allocates.
+	storeAt []uint64
 
 	// Issue queue, woken by event rather than scanned (see dynInst). iqCount
 	// is its occupancy: dispatched, unissued instructions. ready holds the
@@ -171,7 +174,7 @@ func New(cfg Config, src Source, model FaultOracle, vdd float64) (*Pipeline, err
 		wheel:         make([]*dynInst, wheelSize(cfg)),
 		cands:         make([]core.Candidate, 0, cfg.IQSize),
 		freePhys:      cfg.NumPhys - isa.NumArchRegs,
-		storeAt:       make(map[uint64]int),
+		storeAt:       make([]uint64, 0, cfg.SQSize),
 		lastFetchLine: ^uint64(0),
 		samplePeriod:  cfg.SamplePeriod,
 		scheme:        cfg.Scheme,
@@ -511,9 +514,9 @@ func (p *Pipeline) step() {
 // events (the fetch-path replay bubble). Callers guard on p.obs != nil.
 func (p *Pipeline) emitViolation(di *dynInst, stage isa.Stage, bubble, private, direct uint64) {
 	p.obs.Event(obs.Event{Kind: obs.KindViolationActual, Cycle: p.cycle,
-		Seq: di.seq, PC: di.in.PC, Stage: stage, Class: di.in.Class})
+		Seq: di.seq, PC: di.PC, Stage: stage, Class: di.Class})
 	p.obs.Event(obs.Event{Kind: obs.KindReplay, Cycle: p.cycle,
-		Seq: di.seq, PC: di.in.PC, Stage: stage, Class: di.in.Class,
+		Seq: di.seq, PC: di.PC, Stage: stage, Class: di.Class,
 		A: bubble, B: private, C: direct})
 }
 
@@ -526,7 +529,7 @@ func (p *Pipeline) emitPredicted(di *dynInst, stage isa.Stage, actual bool, act 
 		a = 1
 	}
 	p.obs.Event(obs.Event{Kind: obs.KindViolationPredicted, Cycle: p.cycle,
-		Seq: di.seq, PC: di.in.PC, Stage: stage, Class: di.in.Class,
+		Seq: di.seq, PC: di.PC, Stage: stage, Class: di.Class,
 		A: a, B: uint64(act)})
 }
 
@@ -578,20 +581,30 @@ func (p *Pipeline) recycleRetired() {
 
 // ------------------------------------------------------- front-end ring --
 
+// wrap maps head+i, with head and i both in [0,n), onto a ring of n slots:
+// one compare and subtract instead of a division.
+func wrap(head, i, n int) int {
+	j := head + i
+	if j >= n {
+		j -= n
+	}
+	return j
+}
+
 func (p *Pipeline) frontPush(di *dynInst) {
-	p.frontQ[(p.frontHead+p.frontCount)%len(p.frontQ)] = di
+	p.frontQ[wrap(p.frontHead, p.frontCount, len(p.frontQ))] = di
 	p.frontCount++
 }
 
 func (p *Pipeline) frontPop() {
 	p.frontQ[p.frontHead] = nil
-	p.frontHead = (p.frontHead + 1) % len(p.frontQ)
+	p.frontHead = wrap(p.frontHead, 1, len(p.frontQ))
 	p.frontCount--
 }
 
 // frontAt returns the i-th queued instruction in fetch order (0 is oldest).
 func (p *Pipeline) frontAt(i int) *dynInst {
-	return p.frontQ[(p.frontHead+i)%len(p.frontQ)]
+	return p.frontQ[wrap(p.frontHead, i, len(p.frontQ))]
 }
 
 // ---------------------------------------------------------------- fetch --
@@ -602,9 +615,8 @@ func (p *Pipeline) frontAt(i int) *dynInst {
 func (p *Pipeline) newDyn() *dynInst {
 	in := p.src.Next()
 	di := p.allocDyn()
-	*di = dynInst{seq: p.seq, in: in}
+	di.init(p.seq, &in)
 	p.seq++
-	di.resetPipelineState()
 
 	// Ground truth: the most critical violating stage, if any. Only the
 	// instruction's near-critical stages can violate; they are tested in
@@ -683,8 +695,8 @@ func (p *Pipeline) fetch() {
 		}
 		// Instruction cache: charge the miss latency when crossing into a
 		// new line that is not resident.
-		if line := di.in.PC >> 6; line != p.lastFetchLine {
-			lat := p.hier.InstAccess(di.in.PC)
+		if line := di.PC >> 6; line != p.lastFetchLine {
+			lat := p.hier.InstAccess(di.PC)
 			p.lastFetchLine = line
 			if lat > 1 {
 				p.fetchResumeAt = p.cycle + uint64(lat)
@@ -720,7 +732,7 @@ func (p *Pipeline) fetch() {
 				mp = 1
 			}
 			p.obs.Event(obs.Event{Kind: obs.KindFetch, Cycle: p.cycle,
-				Seq: di.seq, PC: di.in.PC, Class: di.in.Class,
+				Seq: di.seq, PC: di.PC, Class: di.Class,
 				A: mp, B: p.pendingIFetch})
 			p.pendingIFetch = 0
 		}
@@ -728,7 +740,7 @@ func (p *Pipeline) fetch() {
 		di.history = p.bp.History()
 		// TEP access in parallel with decode (§2.1.1).
 		if p.scheme.UsesTEP() {
-			di.pred = p.tep.Lookup(di.in.PC, di.history, p.env.Favorable())
+			di.pred = p.tep.Lookup(di.PC, di.history, p.env.Favorable())
 		}
 		p.frontPush(di)
 		if di.mispredict {
@@ -756,7 +768,7 @@ func (p *Pipeline) dispatch() {
 			p.emitDispatchStall(obs.DispatchStallIQ, budget)
 			return
 		}
-		switch di.in.Class {
+		switch di.Class {
 		case isa.Load:
 			if p.loads >= p.cfg.LQSize {
 				p.stats.StallLSQ++
@@ -770,35 +782,22 @@ func (p *Pipeline) dispatch() {
 				return
 			}
 		}
-		if di.in.Dest > 0 && p.freePhys == 0 {
+		if di.Dest > 0 && p.freePhys == 0 {
 			p.stats.StallPhys++
 			p.emitDispatchStall(obs.DispatchStallPhys, budget)
 			return
 		}
 
-		// In-order-engine violations at rename/dispatch (§2.2).
-		for _, st := range [2]isa.Stage{isa.Rename, isa.Dispatch} {
-			if p.scheme.UsesTEP() && di.predictedAt(st) {
-				act := core.Respond(p.scheme, true, st)
-				switch act {
-				case core.ActFrontStall:
-					p.frontFreeze++
-				case core.ActGlobalStall:
-					p.globalFreeze++
+		// In-order-engine violations at rename/dispatch (§2.2), for the few
+		// instructions with a predicted or actual fault.
+		if di.fault || di.pred.Fault {
+			for _, st := range [2]isa.Stage{isa.Rename, isa.Dispatch} {
+				if p.scheme.UsesTEP() && di.predictedAt(st) {
+					p.predictedInOrder(di, st)
+				} else if di.actualAt(st) {
+					p.recoverInOrder(di)
+					return
 				}
-				actual := di.actualAt(st)
-				if actual {
-					p.stats.PredictedFaults++
-					di.replaySafe = true // stall gave the stage its 2nd cycle
-				} else {
-					p.stats.FalsePositives++
-				}
-				if p.obs != nil {
-					p.emitPredicted(di, st, actual, act)
-				}
-			} else if di.actualAt(st) {
-				p.recoverInOrder(di)
-				return
 			}
 		}
 
@@ -807,7 +806,7 @@ func (p *Pipeline) dispatch() {
 		p.iqAlloc++
 		// Register rename: link sources to unissued producers; an issued
 		// producer's tag broadcast time is already known.
-		for k, reg := range [2]int8{di.in.Src1, di.in.Src2} {
+		for k, reg := range [2]int8{di.Src1, di.Src2} {
 			if reg <= 0 || p.writers[reg] == nil {
 				continue
 			}
@@ -817,8 +816,8 @@ func (p *Pipeline) dispatch() {
 				di.readyAt = w.depReadyAt
 			}
 		}
-		if di.in.Dest > 0 {
-			p.writers[di.in.Dest] = di
+		if di.Dest > 0 {
+			p.writers[di.Dest] = di
 			p.freePhys--
 		}
 		if di.fillAt != 0 {
@@ -833,17 +832,17 @@ func (p *Pipeline) dispatch() {
 		p.robPush(di)
 		p.iqCount++
 		p.link(di)
-		switch di.in.Class {
+		switch di.Class {
 		case isa.Load:
 			p.loads++
 		case isa.Store:
 			p.stores++
-			p.storeAt[di.in.Addr]++
+			p.storeAt = append(p.storeAt, di.Addr)
 		}
 		p.stats.Dispatched++
 		if p.obs != nil {
 			p.obs.Event(obs.Event{Kind: obs.KindDispatch, Cycle: p.cycle,
-				Seq: di.seq, PC: di.in.PC, Class: di.in.Class})
+				Seq: di.seq, PC: di.PC, Class: di.Class})
 		}
 	}
 }
@@ -988,7 +987,7 @@ func (p *Pipeline) selectIssue() {
 			break
 		}
 		di := p.ready[c.Index]
-		lane := p.fusr.Available(laneKind(di.in.Class), p.cycle)
+		lane := p.fusr.Available(laneKind(di.Class), p.cycle)
 		if lane < 0 {
 			continue
 		}
@@ -1017,19 +1016,23 @@ func (p *Pipeline) issueInst(di *dynInst, lane int) {
 	di.lane = lane
 	p.stats.Selected++
 
-	isMem := di.in.Class.IsMem()
+	isMem := di.Class.IsMem()
 	var extra [isa.NumStages]uint64
 	var bcastDelay uint64 // confined extra cycles ahead of the tag broadcast
 	issueFreeze := false  // issue-stage CAM fault: slot freeze is the only cost
 	replayStage := isa.NumStages
 
-	p.handleStage(di, isa.Issue, &extra, &bcastDelay, &issueFreeze, &replayStage)
-	p.handleStage(di, isa.RegRead, &extra, &bcastDelay, &issueFreeze, &replayStage)
-	p.handleStage(di, isa.Execute, &extra, &bcastDelay, &issueFreeze, &replayStage)
-	if isMem {
-		p.handleStage(di, isa.Memory, &extra, &bcastDelay, &issueFreeze, &replayStage)
+	// Only an instruction with a predicted or actual fault acts on the
+	// violation path; for every other one each stage's handling is a no-op.
+	if di.fault || di.pred.Fault {
+		p.handleStage(di, isa.Issue, &extra, &bcastDelay, &issueFreeze, &replayStage)
+		p.handleStage(di, isa.RegRead, &extra, &bcastDelay, &issueFreeze, &replayStage)
+		p.handleStage(di, isa.Execute, &extra, &bcastDelay, &issueFreeze, &replayStage)
+		if isMem {
+			p.handleStage(di, isa.Memory, &extra, &bcastDelay, &issueFreeze, &replayStage)
+		}
+		p.handleStage(di, isa.Writeback, &extra, &bcastDelay, &issueFreeze, &replayStage)
 	}
-	p.handleStage(di, isa.Writeback, &extra, &bcastDelay, &issueFreeze, &replayStage)
 
 	// Unpredicted violation: Razor-style error recovery (§2.1.2). The
 	// shadow-latch path corrects the errant computation and the instruction
@@ -1059,7 +1062,7 @@ func (p *Pipeline) issueInst(di *dynInst, lane int) {
 					uint64(p.cfg.ReplayLatency), 0)
 			}
 			if p.scheme.UsesTEP() {
-				p.tep.Train(di.in.PC, di.history, true, di.faultStage)
+				p.tep.Train(di.PC, di.history, true, di.faultStage)
 			}
 		}
 	}
@@ -1070,13 +1073,13 @@ func (p *Pipeline) issueInst(di *dynInst, lane int) {
 	// broadcast, §3.2.2). frozen converts to the real cycles the FUSR and
 	// the observer count in.
 	frozen := t - p.now
-	exLat, pipelined := di.in.Class.Latency()
+	exLat, pipelined := di.Class.Latency()
 	rrDone := p.now + 1 + extra[isa.Issue] + extra[isa.RegRead]
 	execDone := rrDone + uint64(exLat) + extra[isa.Execute]
 	var loadLat uint64 // data-access latency for loads (KindIssue payload C)
 	if isMem {
 		memLat := uint64(1)
-		if di.in.Class == isa.Load {
+		if di.Class == isa.Load {
 			switch {
 			case di.fillAt != 0:
 				// Re-execution after a squash: the original miss is still
@@ -1084,10 +1087,10 @@ func (p *Pipeline) issueInst(di *dynInst, lane int) {
 				if execDone < di.fillAt {
 					memLat = di.fillAt - execDone
 				}
-			case p.storeAt[di.in.Addr] > 0:
+			case p.forwards(di.Addr):
 				di.fillAt = execDone + 1 // store-to-load forward
 			default:
-				memLat = uint64(p.hier.DataAccess(di.in.Addr))
+				memLat = uint64(p.hier.DataAccess(di.Addr))
 				di.fillAt = execDone + memLat
 			}
 			loadLat = memLat
@@ -1123,28 +1126,28 @@ func (p *Pipeline) issueInst(di *dynInst, lane int) {
 		p.stats.SlotFreezes++
 	}
 
-	if di.in.Dest > 0 {
+	if di.Dest > 0 {
 		p.stats.Broadcasts++
 		if p.obs != nil && bcastDelay > 0 {
 			p.obs.Event(obs.Event{Kind: obs.KindDelayedBroadcast, Cycle: p.cycle,
-				Seq: di.seq, PC: di.in.PC, Class: di.in.Class,
+				Seq: di.seq, PC: di.PC, Class: di.Class,
 				Lane: int16(lane), A: bcastDelay})
 		}
 	}
-	p.stats.ExecByClass[di.in.Class]++
+	p.stats.ExecByClass[di.Class]++
 
 	// Wake the waiting consumers. Their count is the Criticality Detection
 	// Logic's tag-match count (§3.5.2): the distinct consumers waiting in the
 	// issue queue on this producer. The determination is stored with the
 	// TEP; only the CDS scheme builds this hardware (Table 2).
-	if matches := p.wakeup(di); p.scheme == core.CDS && di.in.Dest > 0 && p.cdl.Critical(matches) {
-		p.tep.SetCritical(di.in.PC, di.history, true)
+	if matches := p.wakeup(di); p.scheme == core.CDS && di.Dest > 0 && p.cdl.Critical(matches) {
+		p.tep.SetCritical(di.PC, di.history, true)
 		p.stats.CriticalMarks++
 	}
 
 	if p.obs != nil {
 		p.obs.Event(obs.Event{Kind: obs.KindIssue, Cycle: t,
-			Seq: di.seq, PC: di.in.PC, Class: di.in.Class,
+			Seq: di.seq, PC: di.PC, Class: di.Class,
 			Lane: int16(lane), A: di.depReadyAt + frozen, B: di.completeAt + frozen,
 			C: loadLat})
 	}
@@ -1199,6 +1202,30 @@ func (p *Pipeline) handleStage(di *dynInst, stage isa.Stage,
 	}
 }
 
+// forwards reports whether an in-flight store to addr can forward to a load:
+// a linear search of the store CAM, which holds at most SQSize addresses.
+func (p *Pipeline) forwards(addr uint64) bool {
+	for _, a := range p.storeAt {
+		if a == addr {
+			return true
+		}
+	}
+	return false
+}
+
+// dropStore removes one instance of addr from the store CAM as a store
+// leaves the window. The CAM is a multiset, so any matching slot will do.
+func (p *Pipeline) dropStore(addr uint64) {
+	for i, a := range p.storeAt {
+		if a == addr {
+			last := len(p.storeAt) - 1
+			p.storeAt[i] = p.storeAt[last]
+			p.storeAt = p.storeAt[:last]
+			return
+		}
+	}
+}
+
 // --------------------------------------------------------------- replay --
 
 // recoverInOrder handles an unpredicted violation in the in-order engine
@@ -1214,7 +1241,7 @@ func (p *Pipeline) recoverInOrder(di *dynInst) {
 	p.frontFreeze += p.cfg.ReplayBubble
 	p.frontFreezeReplay += p.cfg.ReplayBubble
 	if p.scheme.UsesTEP() {
-		p.tep.Train(di.in.PC, di.history, true, di.faultStage)
+		p.tep.Train(di.PC, di.history, true, di.faultStage)
 	}
 }
 
@@ -1232,13 +1259,13 @@ func (p *Pipeline) flushReplay(di *dynInst) {
 		p.emitViolation(di, di.faultStage, uint64(p.cfg.ReplayBubble), 0, 0)
 	}
 	if p.scheme.UsesTEP() {
-		p.tep.Train(di.in.PC, di.history, true, di.faultStage)
+		p.tep.Train(di.PC, di.history, true, di.faultStage)
 	}
 
 	// Squash the ROB suffix from di (inclusive), youngest first.
 	var squashed []*dynInst
 	for p.robCount > 0 {
-		tail := p.rob[(p.robHead+p.robCount-1)%p.cfg.ROBSize]
+		tail := p.robAt(p.robCount - 1)
 		if tail.seq < di.seq {
 			break
 		}
@@ -1252,7 +1279,7 @@ func (p *Pipeline) flushReplay(di *dynInst) {
 	p.stats.SquashedInsts += uint64(len(squashed))
 	if p.obs != nil {
 		p.obs.Event(obs.Event{Kind: obs.KindFlush, Cycle: p.cycle,
-			Seq: di.seq, PC: di.in.PC, Stage: di.faultStage,
+			Seq: di.seq, PC: di.PC, Stage: di.faultStage,
 			A: uint64(len(squashed)), B: uint64(p.cfg.ReplayBubble)})
 	}
 
@@ -1276,16 +1303,16 @@ func (p *Pipeline) flushReplay(di *dynInst) {
 		p.writers[r] = nil
 	}
 	for i := 0; i < p.robCount; i++ {
-		e := p.rob[(p.robHead+i)%p.cfg.ROBSize]
-		if e.in.Dest > 0 {
-			p.writers[e.in.Dest] = e
+		e := p.robAt(i)
+		if e.Dest > 0 {
+			p.writers[e.Dest] = e
 		}
 		e.consumers = nil
 	}
 	p.ready = p.ready[:0]
 	clear(p.wheel)
 	for i := 0; i < p.robCount; i++ {
-		if e := p.rob[(p.robHead+i)%p.cfg.ROBSize]; !e.issued {
+		if e := p.robAt(i); !e.issued {
 			p.link(e)
 		}
 	}
@@ -1307,19 +1334,15 @@ func (p *Pipeline) squash(di *dynInst) {
 	if di.fillAt != 0 {
 		di.fillAt += p.cycle - p.now
 	}
-	if di.in.Dest > 0 {
+	if di.Dest > 0 {
 		p.freePhys++
 	}
-	switch di.in.Class {
+	switch di.Class {
 	case isa.Load:
 		p.loads--
 	case isa.Store:
 		p.stores--
-		if p.storeAt[di.in.Addr] > 1 {
-			p.storeAt[di.in.Addr]--
-		} else {
-			delete(p.storeAt, di.in.Addr)
-		}
+		p.dropStore(di.Addr)
 	}
 	di.resetPipelineState()
 }
@@ -1332,92 +1355,111 @@ func (p *Pipeline) retire() {
 		if !di.issued || di.completeAt == unknown || di.completeAt > p.now {
 			return
 		}
-		// Retire-stage violations (§2.2): stall-tolerated when predicted.
-		if p.scheme.UsesTEP() && di.predictedAt(isa.Retire) {
-			act := core.Respond(p.scheme, true, isa.Retire)
-			switch act {
-			case core.ActFrontStall:
-				p.frontFreeze++
-			case core.ActGlobalStall:
-				p.globalFreeze++
-			}
-			actual := di.actualAt(isa.Retire)
-			if actual {
-				p.stats.PredictedFaults++
-				di.replaySafe = true
-			} else {
-				p.stats.FalsePositives++
-			}
-			if p.obs != nil {
-				p.emitPredicted(di, isa.Retire, actual, act)
-			}
-		} else if di.actualAt(isa.Retire) {
-			// Unpredicted retire-stage violation: correct and re-run the
-			// retire cycle; the whole machine waits out the recovery. When
-			// the hazard has pushed the delay scale past the replay limit,
-			// the re-run fails too and commit stays blocked — the livelock
-			// the supervisor's watchdog exists to break.
-			p.stats.Replays++
-			p.stats.Mispredicted++
-			di.replaySafe = p.env.ReplayReliable()
-			if p.obs != nil {
-				p.emitViolation(di, isa.Retire, uint64(p.cfg.ReplayBubble), 0, 0)
-			}
-			p.globalFreeze += p.cfg.ReplayBubble
-			p.globalFreezeReplay += p.cfg.ReplayBubble
-			if p.scheme.UsesTEP() {
-				p.tep.Train(di.in.PC, di.history, true, di.faultStage)
-			}
+		if (di.fault || di.pred.Fault) && p.retireViolation(di) {
 			return
 		}
 
-		p.robHead = (p.robHead + 1) % p.cfg.ROBSize
+		p.robHead = wrap(p.robHead, 1, len(p.rob))
 		p.robCount--
 		di.retired = true
-		if di.in.Dest > 0 {
+		if di.Dest > 0 {
 			p.freePhys++
 			// Drop the rename-map reference so the record can be recycled.
 			// Behaviour-identical: rename only links producers whose result is
 			// still pending (depReadyAt > cycle), which a retired instruction
 			// never is.
-			if p.writers[di.in.Dest] == di {
-				p.writers[di.in.Dest] = nil
+			if p.writers[di.Dest] == di {
+				p.writers[di.Dest] = nil
 			}
 		}
-		switch di.in.Class {
+		switch di.Class {
 		case isa.Load:
 			p.loads--
 		case isa.Store:
 			p.stores--
-			if p.storeAt[di.in.Addr] > 1 {
-				p.storeAt[di.in.Addr]--
-			} else {
-				delete(p.storeAt, di.in.Addr)
-			}
+			p.dropStore(di.Addr)
 			// The store's line is installed at commit; timing is off the
 			// critical path but the cache contents matter to later loads.
-			p.hier.DataAccess(di.in.Addr)
+			p.hier.DataAccess(di.Addr)
 			p.stats.StoresRetired++
 		}
 		// Train the TEP with ground truth (2-bit counter learn/decay).
 		if p.scheme.UsesTEP() {
-			p.tep.Train(di.in.PC, di.history, di.fault, di.faultStage)
+			p.tep.Train(di.PC, di.history, di.fault, di.faultStage)
 		}
 		p.stats.Committed++
 		if p.obs != nil {
 			p.obs.Event(obs.Event{Kind: obs.KindRetire, Cycle: p.cycle,
-				Seq: di.seq, PC: di.in.PC, Class: di.in.Class,
+				Seq: di.seq, PC: di.PC, Class: di.Class,
 				Lane: int16(di.lane), A: di.selectedAt})
 		}
 		p.pendingFree = append(p.pendingFree, di)
 	}
 }
 
+// retireViolation applies a retire-stage violation (§2.2) to the ROB head:
+// stall-tolerated when predicted. It reports whether commit is blocked this
+// cycle, which an unpredicted violation's replay does.
+func (p *Pipeline) retireViolation(di *dynInst) bool {
+	if p.scheme.UsesTEP() && di.predictedAt(isa.Retire) {
+		p.predictedInOrder(di, isa.Retire)
+		return false
+	}
+	if !di.actualAt(isa.Retire) {
+		return false
+	}
+	// Unpredicted retire-stage violation: correct and re-run the retire
+	// cycle; the whole machine waits out the recovery. When the hazard has
+	// pushed the delay scale past the replay limit, the re-run fails too and
+	// commit stays blocked — the livelock the supervisor's watchdog exists to
+	// break.
+	p.stats.Replays++
+	p.stats.Mispredicted++
+	di.replaySafe = p.env.ReplayReliable()
+	if p.obs != nil {
+		p.emitViolation(di, isa.Retire, uint64(p.cfg.ReplayBubble), 0, 0)
+	}
+	p.globalFreeze += p.cfg.ReplayBubble
+	p.globalFreezeReplay += p.cfg.ReplayBubble
+	if p.scheme.UsesTEP() {
+		p.tep.Train(di.PC, di.history, true, di.faultStage)
+	}
+	return true
+}
+
+// predictedInOrder applies a predicted in-order-engine violation at
+// rename, dispatch or retire (§2.2): the scheme's stall gives the stage its
+// second cycle.
+func (p *Pipeline) predictedInOrder(di *dynInst, st isa.Stage) {
+	act := core.Respond(p.scheme, true, st)
+	switch act {
+	case core.ActFrontStall:
+		p.frontFreeze++
+	case core.ActGlobalStall:
+		p.globalFreeze++
+	}
+	actual := di.actualAt(st)
+	if actual {
+		p.stats.PredictedFaults++
+		di.replaySafe = true // the stall gave the stage its 2nd cycle
+	} else {
+		p.stats.FalsePositives++
+	}
+	if p.obs != nil {
+		p.emitPredicted(di, st, actual, act)
+	}
+}
+
 // ------------------------------------------------------------------ rob --
 
 func (p *Pipeline) robPush(di *dynInst) {
-	p.rob[(p.robHead+p.robCount)%p.cfg.ROBSize] = di
+	p.rob[wrap(p.robHead, p.robCount, len(p.rob))] = di
 	p.robCount++
+}
+
+// robAt returns the i-th ROB entry in program order (0 is the head).
+func (p *Pipeline) robAt(i int) *dynInst {
+	return p.rob[wrap(p.robHead, i, len(p.rob))]
 }
 
 // SetVDD retargets the operating voltage mid-run (closed-loop DVFS): newly

@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"tvsched/internal/core"
 	"tvsched/internal/fault"
@@ -553,5 +555,52 @@ func TestRandomizedInvariants(t *testing.T) {
 			t.Fatalf("handled faults %d exceed total %d",
 				st.PredictedFaults+st.Mispredicted, st.Faults)
 		}
+	}
+}
+
+// TestDynInstInitSetsEveryField fills a record with nonzero garbage in every
+// field, as a recycled one may hold, and requires init to leave exactly what
+// a fresh record given the instruction's identity and reset would: init
+// assigns field by field, so a field it forgets would leak from the record's
+// previous instruction.
+func TestDynInstInitSetsEveryField(t *testing.T) {
+	in := isa.Inst{PC: 0x400010, Class: isa.Load, Dest: 3, Src1: 4, Src2: 5, Addr: 0x1000_0040,
+		Taken: true, Target: 0x400100, NextPC: 0x400014}
+	want := dynInst{seq: 77, PC: in.PC, Addr: in.Addr, Class: in.Class, Dest: in.Dest, Src1: in.Src1, Src2: in.Src2}
+	want.resetPipelineState()
+
+	var got dynInst
+	v := reflect.ValueOf(&got).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := reflect.NewAt(v.Field(i).Type(), unsafe.Pointer(v.Field(i).UnsafeAddr())).Elem()
+		fill(f)
+	}
+	got.init(77, &in)
+	if got != want {
+		t.Fatalf("init left\n%+v\nwant\n%+v", got, want)
+	}
+}
+
+// fill sets v, and every element or field of it, to a nonzero value.
+func fill(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(7)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(7)
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fill(v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fill(v.Field(i))
+		}
+	default:
+		panic("fill: unhandled kind " + v.Kind().String())
 	}
 }
