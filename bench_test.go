@@ -438,8 +438,8 @@ func BenchmarkAblationPredictor(b *testing.B) {
 
 // sweepBenchCells is the cell grid of the checkpointed-sweep benches below:
 // all five handling schemes at both faulty supplies over one benchmark and
-// seed — the same geometry the served sweep bench (internal/serve, cmd/tvload
-// -sweepbench) times at full scale, shrunk so the pair completes in seconds.
+// seed — the same geometry the served campaign bench (cmd/tvload
+// -campaignbench) times at full scale, shrunk so the pair completes in seconds.
 // Every cell shares one warm state, which is what makes a single checkpoint
 // serve all ten.
 func sweepBenchCells() []tvsched.Config {

@@ -1,324 +1,228 @@
-// Command tvgate compares a freshly measured RunReport (BENCH_<exp>.json,
-// written by tvbench -json or tvsim -report) against a checked-in baseline
-// and exits non-zero when a watched scheme's performance overhead regressed
-// beyond tolerance. It is the CI performance gate: simulations are
-// deterministic given the seed, so any drift it flags is a code change, not
-// noise.
+// Command tvgate checks a JSON artifact against one named gate of a
+// checked-in gates file and exits 1 when the artifact violates it. Every CI
+// bound — load, campaign and simulated overhead — lives in
+// .github/gates.json, not in code or on command lines.
 //
 // Usage:
 //
-//	tvgate -report BENCH_table1.json -baseline .github/perf-baseline.json
-//	tvgate -report r.json -baseline b.json -scheme ABS -vdd 0.97 -tolerance 0.10
-//	tvgate -sweep sweepbench.json -min-speedup 2.0
-//	tvgate -cluster clusterload.json -min-steals 1
-//	tvgate -chaos chaosload.json -min-availability 0.99 -min-degraded 1
-//	tvgate -campaign summary.json -min-skip 0.5
+//	tvgate [-gates .github/gates.json] GATE ARTIFACT
+//	tvgate cluster cluster.json
+//	tvgate table1 BENCH_table1.json
 //
-// With -sweep, tvgate instead gates a sweep-bench/v1 artifact (tvload
-// -sweepbench): the checkpointed sweep must be at least -min-speedup times
-// faster than the cold one.
+// A gate names the artifact's schema and bounds on its top-level numeric
+// fields:
 //
-// With -cluster, tvgate gates a cluster-load-report/v1 artifact (tvload
-// -urls): zero request errors, zero byte divergences across nodes, and at
-// least -min-steals responses whose bytes came from a peer — proof the
-// forward/read-through path actually carried load.
+//	{"cluster": {"why": "...", "schema": "tvsched/load-report/v2",
+//	             "min": {"stolen": 1}, "max": {"errors": 0},
+//	             "equal": {"done": "cells"}}}
 //
-// With -chaos, tvgate gates a chaos-load-report/v1 artifact (tvload
-// -chaos): zero errors and availability at or above -min-availability
-// despite injected faults, at least -min-degraded degraded-mode answers
-// (proof the drill exercised the fallback), and zero byte divergences left
-// after anti-entropy.
+// min and max are inclusive bounds; equal requires a field to equal another
+// field of the same artifact. A gate may instead (or also) carry an
+// overhead rule for a run-report/v1: the scheme's perf_pct at the given
+// supply must not exceed baseline·(1+tolerance) + slack, where the baseline
+// is a run report whose path is relative to the gates file. The additive
+// slack keeps a near-zero baseline from becoming a zero-tolerance gate.
 //
-// With -campaign, tvgate gates a campaign-summary/v1 artifact (tvplan
-// -summary): the campaign must be complete, error-free, and have skipped —
-// via journal replay, result-cache hits or collapsed duplicates — at least
-// -min-skip of its cells.
-//
-// The comparison is on the scheme's performance overhead versus fault-free
-// execution (perf_pct in the report): the gate fails when
-//
-//	measured > baseline·(1+tolerance) + slack
-//
-// The additive slack keeps near-zero baselines from turning into a
-// zero-tolerance gate.
+// An artifact with another schema, or without a field the gate names,
+// fails the gate: a renamed field cannot pass vacuously. tvgate prints one
+// line per gate with every checked value, then "tvgate: OK"; it exits 1 on
+// a failed gate and 2 on a usage or gates-file error.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 
-	"tvsched/internal/campaign"
 	"tvsched/internal/obs"
-	"tvsched/internal/serve"
 )
 
-func main() {
-	var (
-		reportF   = flag.String("report", "", "freshly measured RunReport JSON (required)")
-		baselineF = flag.String("baseline", "", "baseline RunReport JSON to compare against (required)")
-		scheme    = flag.String("scheme", "ABS", "scheme whose overhead is gated")
-		vdd       = flag.Float64("vdd", 0.97, "supply voltage of the gated overhead entry")
-		tolerance = flag.Float64("tolerance", 0.10, "allowed relative regression (0.10 = +10%)")
-		slack     = flag.Float64("slack", 0.25, "allowed absolute regression in percentage points")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-		sweepF     = flag.String("sweep", "", "sweep-bench JSON (tvload -sweepbench) to gate instead of a RunReport pair")
-		minSpeedup = flag.Float64("min-speedup", 2.0, "minimum checkpointed-sweep speedup required by -sweep")
+// gate is one named entry of the gates file.
+type gate struct {
+	// Why says what the gate proves; it is documentation only.
+	Why      string             `json:"why"`
+	Schema   string             `json:"schema"`
+	Min      map[string]float64 `json:"min"`
+	Max      map[string]float64 `json:"max"`
+	Equal    map[string]string  `json:"equal"`
+	Overhead *overheadRule      `json:"overhead"`
+}
 
-		clusterF  = flag.String("cluster", "", "cluster-load-report JSON (tvload -urls) to gate instead of a RunReport pair")
-		minSteals = flag.Uint64("min-steals", 1, "minimum peer-served responses required by -cluster")
+// overheadRule bounds a run report's simulated perf overhead by a baseline
+// run report's.
+type overheadRule struct {
+	Baseline  string  `json:"baseline"`
+	Scheme    string  `json:"scheme"`
+	VDD       float64 `json:"vdd"`
+	Tolerance float64 `json:"tolerance"`
+	Slack     float64 `json:"slack"`
+}
 
-		chaosF          = flag.String("chaos", "", "chaos-load-report JSON (tvload -chaos) to gate instead of a RunReport pair")
-		minAvailability = flag.Float64("min-availability", 0.99, "minimum fraction of 200 answers required by -chaos")
-		minDegraded     = flag.Uint64("min-degraded", 1, "minimum degraded-mode answers required by -chaos (proof the drill actually bit)")
-
-		campaignF = flag.String("campaign", "", "campaign-summary or campaign-bench JSON to gate instead of a RunReport pair")
-		minSkip   = flag.Float64("min-skip", 0.5, "minimum cached-cell skip ratio required by -campaign")
-	)
-	flag.Parse()
-	if *campaignF != "" {
-		gateCampaign(*campaignF, *minSkip, *minSpeedup)
-		return
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tvgate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	gatesF := fs.String("gates", ".github/gates.json", "gates file")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: tvgate [-gates FILE] GATE ARTIFACT")
+		fs.PrintDefaults()
 	}
-	if *sweepF != "" {
-		gateSweep(*sweepF, *minSpeedup)
-		return
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	if *clusterF != "" {
-		gateCluster(*clusterF, *minSteals)
-		return
+	if fs.NArg() != 2 {
+		fs.Usage()
+		return 2
 	}
-	if *chaosF != "" {
-		gateChaos(*chaosF, *minAvailability, *minDegraded)
-		return
+	name, path := fs.Arg(0), fs.Arg(1)
+	gates, err := readGates(*gatesF)
+	if err != nil {
+		fmt.Fprintln(stderr, "tvgate:", err)
+		return 2
 	}
-	if *reportF == "" || *baselineF == "" {
-		fmt.Fprintln(os.Stderr, "tvgate: -report and -baseline are required")
-		os.Exit(2)
-	}
-
-	rep := read(*reportF)
-	base := read(*baselineF)
-	cur, ok := rep.Overhead(*scheme, *vdd)
+	g, ok := gates[name]
 	if !ok {
-		fatal(fmt.Errorf("%s: no overhead entry for %s at %.2f V", *reportF, *scheme, *vdd))
+		fmt.Fprintf(stderr, "tvgate: no gate %q in %s\n", name, *gatesF)
+		return 2
 	}
-	ref, ok := base.Overhead(*scheme, *vdd)
-	if !ok {
-		fatal(fmt.Errorf("%s: no overhead entry for %s at %.2f V", *baselineF, *scheme, *vdd))
-	}
-
-	limit := ref.PerfPct*(1+*tolerance) + *slack
-	fmt.Printf("tvgate: %s at %.2f V: perf overhead %.3f%% (baseline %.3f%%, limit %.3f%%)\n",
-		*scheme, *vdd, cur.PerfPct, ref.PerfPct, limit)
-	if cur.PerfPct > limit {
-		fmt.Fprintf(os.Stderr, "tvgate: FAIL: %s overhead regressed %.3f%% -> %.3f%% (limit %.3f%%)\n",
-			*scheme, ref.PerfPct, cur.PerfPct, limit)
-		os.Exit(1)
-	}
-	fmt.Println("tvgate: OK")
-}
-
-// gateSweep enforces the checkpointed-sweep throughput floor on a
-// sweep-bench/v1 artifact.
-func gateSweep(path string, minSpeedup float64) {
-	f, err := os.Open(path)
+	lines, fails, err := g.check(path, filepath.Dir(*gatesF))
 	if err != nil {
-		fatal(err)
+		fmt.Fprintf(stderr, "tvgate: %s: FAIL: %s: %v\n", name, path, err)
+		return 1
 	}
-	defer f.Close()
-	var rep serve.SweepBenchReport
-	if err := json.NewDecoder(f).Decode(&rep); err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
+	fmt.Fprintf(stdout, "tvgate: %s: %s\n", name, strings.Join(lines, ", "))
+	for _, f := range fails {
+		fmt.Fprintf(stderr, "tvgate: %s: FAIL: %s\n", name, f)
 	}
-	if rep.Schema != serve.SweepBenchSchema {
-		fatal(fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, serve.SweepBenchSchema))
+	if len(fails) > 0 {
+		return 1
 	}
-	fmt.Printf("tvgate: checkpointed sweep %.2fx faster than cold (%d cells, warmup %d; floor %.2fx)\n",
-		rep.Speedup, rep.Cells, rep.Warmup, minSpeedup)
-	if rep.Speedup < minSpeedup {
-		fmt.Fprintf(os.Stderr, "tvgate: FAIL: checkpointed sweep speedup %.2fx below floor %.2fx\n",
-			rep.Speedup, minSpeedup)
-		os.Exit(1)
-	}
-	fmt.Println("tvgate: OK")
+	fmt.Fprintln(stdout, "tvgate: OK")
+	return 0
 }
 
-// gateCluster enforces cluster-serving invariants on a
-// cluster-load-report/v1 artifact: no errors, byte-identical answers across
-// nodes, and a nonzero amount of peer-served work.
-func gateCluster(path string, minSteals uint64) {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	var rep serve.ClusterLoadReport
-	if err := json.NewDecoder(f).Decode(&rep); err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
-	}
-	if rep.Schema != serve.ClusterLoadReportSchema {
-		fatal(fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, serve.ClusterLoadReportSchema))
-	}
-	fmt.Printf("tvgate: cluster of %d nodes: %d reqs, %d stolen, %d errors, %d divergences (steal floor %d)\n",
-		len(rep.Nodes), rep.Requests, rep.Stolen, rep.Errors, rep.Divergences, minSteals)
-	bad := false
-	if rep.Errors > 0 {
-		fmt.Fprintf(os.Stderr, "tvgate: FAIL: %d request errors\n", rep.Errors)
-		bad = true
-	}
-	if rep.Divergences > 0 {
-		fmt.Fprintf(os.Stderr, "tvgate: FAIL: %d byte divergences between nodes\n", rep.Divergences)
-		bad = true
-	}
-	if rep.Stolen < minSteals {
-		fmt.Fprintf(os.Stderr, "tvgate: FAIL: %d peer-served responses, floor %d\n", rep.Stolen, minSteals)
-		bad = true
-	}
-	if bad {
-		os.Exit(1)
-	}
-	fmt.Println("tvgate: OK")
-}
-
-// gateChaos enforces the resilience invariants on a chaos-load-report/v1
-// artifact (tvload -chaos): despite injected faults, zero request errors,
-// availability above the floor, some degraded-mode serving (otherwise the
-// drill proved nothing), and — after anti-entropy — zero byte divergence
-// anywhere in the cluster.
-func gateChaos(path string, minAvailability float64, minDegraded uint64) {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	var rep serve.ChaosLoadReport
-	if err := json.NewDecoder(f).Decode(&rep); err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
-	}
-	if rep.Schema != serve.ChaosLoadReportSchema {
-		fatal(fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, serve.ChaosLoadReportSchema))
-	}
-	fmt.Printf("tvgate: chaos drill on %d nodes: %d reqs, availability %.2f%% (floor %.2f%%), %d degraded (floor %d), %d errors, %d repaired, %d post-repair divergences\n",
-		rep.Nodes, rep.Requests, 100*rep.Availability, 100*minAvailability,
-		rep.Degraded, minDegraded, rep.Errors, rep.Repaired, rep.PostRepairDivergences)
-	bad := false
-	if rep.Errors > 0 {
-		fmt.Fprintf(os.Stderr, "tvgate: FAIL: %d request errors under chaos\n", rep.Errors)
-		bad = true
-	}
-	if rep.Availability < minAvailability {
-		fmt.Fprintf(os.Stderr, "tvgate: FAIL: availability %.4f below floor %.4f\n", rep.Availability, minAvailability)
-		bad = true
-	}
-	if rep.Degraded < minDegraded {
-		fmt.Fprintf(os.Stderr, "tvgate: FAIL: %d degraded answers, floor %d — the injected faults never bit\n", rep.Degraded, minDegraded)
-		bad = true
-	}
-	if rep.PostRepairDivergences > 0 {
-		fmt.Fprintf(os.Stderr, "tvgate: FAIL: %d digests still byte-divergent after anti-entropy\n", rep.PostRepairDivergences)
-		bad = true
-	}
-	if bad {
-		os.Exit(1)
-	}
-	fmt.Println("tvgate: OK")
-}
-
-// gateCampaign gates a campaign artifact, dispatched on its schema tag: a
-// campaign-summary/v1 (tvplan -summary, mirrored by a finished /v1/campaign)
-// must be complete, error-free, and have a cached-cell skip ratio at or
-// above the floor — proof a resumed or re-run campaign actually reused
-// prior work; a campaign-bench/v1 (tvload -campaignbench) must additionally
-// show the engine's shared-prefix execution beating cell-independent
-// execution by at least -min-speedup.
-func gateCampaign(path string, minSkip, minSpeedup float64) {
+// readGates decodes the gates file strictly: an unknown key (a misspelt
+// "min", say) or a gate that bounds nothing is an error, not a gate that
+// always passes.
+func readGates(path string) (map[string]*gate, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	var probe struct {
-		Schema string `json:"schema"`
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.DisallowUnknownFields()
+	var gates map[string]*gate
+	if err := dec.Decode(&gates); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if err := json.Unmarshal(blob, &probe); err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
+	for name, g := range gates {
+		if g == nil || g.Schema == "" || len(g.Min)+len(g.Max)+len(g.Equal) == 0 && g.Overhead == nil {
+			return nil, fmt.Errorf("%s: gate %q needs a schema and at least one bound", path, name)
+		}
 	}
-	if probe.Schema == serve.CampaignBenchSchema {
-		gateCampaignBench(path, blob, minSkip, minSpeedup)
-		return
-	}
-	var sum campaign.Summary
-	if err := json.Unmarshal(blob, &sum); err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
-	}
-	if sum.Schema != campaign.SummarySchema {
-		fatal(fmt.Errorf("%s: schema %q, want %q or %q", path, sum.Schema, campaign.SummarySchema, serve.CampaignBenchSchema))
-	}
-	fmt.Printf("tvgate: campaign %.12s: %d/%d cells (%d replayed, %d errors), skip ratio %.2f (floor %.2f)\n",
-		sum.Plan, sum.Done, sum.Cells, sum.Replayed, sum.Errors, sum.SkipRatio, minSkip)
-	bad := false
-	if sum.Done != sum.Cells {
-		fmt.Fprintf(os.Stderr, "tvgate: FAIL: campaign incomplete: %d of %d cells done\n", sum.Done, sum.Cells)
-		bad = true
-	}
-	if sum.Errors > 0 {
-		fmt.Fprintf(os.Stderr, "tvgate: FAIL: %d cells failed\n", sum.Errors)
-		bad = true
-	}
-	if sum.SkipRatio < minSkip {
-		fmt.Fprintf(os.Stderr, "tvgate: FAIL: skip ratio %.2f below floor %.2f — the campaign re-simulated cells it should have reused\n",
-			sum.SkipRatio, minSkip)
-		bad = true
-	}
-	if bad {
-		os.Exit(1)
-	}
-	fmt.Println("tvgate: OK")
+	return gates, nil
 }
 
-// gateCampaignBench enforces the campaign-engine throughput and caching
-// floors on a campaign-bench/v1 artifact: the shared-prefix engine pass must
-// beat cell-independent execution by -min-speedup, and the cached
-// re-campaign must have skipped at least -min-skip of its cells.
-func gateCampaignBench(path string, blob []byte, minSkip, minSpeedup float64) {
-	var rep serve.CampaignBenchReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
-	}
-	fmt.Printf("tvgate: campaign engine %.2fx faster than cell-independent (%d cells, warmup %d; floor %.2fx), cached skip ratio %.2f (floor %.2f)\n",
-		rep.Speedup, rep.Cells, rep.Warmup, minSpeedup, rep.CachedSkipRatio, minSkip)
-	bad := false
-	if rep.Speedup < minSpeedup {
-		fmt.Fprintf(os.Stderr, "tvgate: FAIL: engine speedup %.2fx below floor %.2fx\n",
-			rep.Speedup, minSpeedup)
-		bad = true
-	}
-	if rep.CachedSkipRatio < minSkip {
-		fmt.Fprintf(os.Stderr, "tvgate: FAIL: cached campaign skip ratio %.2f below floor %.2f\n",
-			rep.CachedSkipRatio, minSkip)
-		bad = true
-	}
-	if bad {
-		os.Exit(1)
-	}
-	fmt.Println("tvgate: OK")
-}
-
-func read(path string) *obs.RunReport {
-	f, err := os.Open(path)
+// check evaluates the artifact at path; dir resolves the overhead rule's
+// baseline. It returns one line per bound and the lines of the bounds
+// violated; err reports an artifact the gate cannot be evaluated on.
+func (g *gate) check(path, dir string) (lines, fails []string, err error) {
+	blob, err := os.ReadFile(path)
 	if err != nil {
-		fatal(err)
+		return nil, nil, err
 	}
-	defer f.Close()
-	r, err := obs.ReadRunReport(f)
-	if err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
+	var doc map[string]any
+	if err := json.Unmarshal(blob, &doc); err != nil {
+		return nil, nil, err
 	}
-	return r
+	if doc["schema"] != g.Schema {
+		return nil, nil, fmt.Errorf("schema %v, want %q", doc["schema"], g.Schema)
+	}
+	field := func(name string) (float64, error) {
+		v, ok := doc[name].(float64)
+		if !ok {
+			return 0, fmt.Errorf("no numeric field %q", name)
+		}
+		return v, nil
+	}
+	bound := func(line string, ok bool) {
+		lines = append(lines, line)
+		if !ok {
+			fails = append(fails, line)
+		}
+	}
+	for _, name := range sortedKeys(g.Min) {
+		v, err := field(name)
+		if err != nil {
+			return nil, nil, err
+		}
+		bound(fmt.Sprintf("%s %g (min %g)", name, v, g.Min[name]), v >= g.Min[name])
+	}
+	for _, name := range sortedKeys(g.Max) {
+		v, err := field(name)
+		if err != nil {
+			return nil, nil, err
+		}
+		bound(fmt.Sprintf("%s %g (max %g)", name, v, g.Max[name]), v <= g.Max[name])
+	}
+	for _, name := range sortedKeys(g.Equal) {
+		other := g.Equal[name]
+		v, err := field(name)
+		if err != nil {
+			return nil, nil, err
+		}
+		w, err := field(other)
+		if err != nil {
+			return nil, nil, err
+		}
+		bound(fmt.Sprintf("%s %g (= %s %g)", name, v, other, w), v == w)
+	}
+	if o := g.Overhead; o != nil {
+		cur, err := perfPct(blob, o)
+		if err != nil {
+			return nil, nil, err
+		}
+		baseline := filepath.Join(dir, o.Baseline)
+		var base float64
+		bblob, err := os.ReadFile(baseline)
+		if err == nil {
+			base, err = perfPct(bblob, o)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("baseline %s: %w", baseline, err)
+		}
+		limit := base*(1+o.Tolerance) + o.Slack
+		bound(fmt.Sprintf("%s perf overhead at %.2f V %.3f%% (max %.3f%%, baseline %.3f%%)",
+			o.Scheme, o.VDD, cur, limit, base), cur <= limit)
+	}
+	return lines, fails, nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tvgate:", err)
-	os.Exit(1)
+// perfPct reads the rule's scheme and supply overhead out of a run report.
+func perfPct(blob []byte, o *overheadRule) (float64, error) {
+	rep, err := obs.ReadRunReport(bytes.NewReader(blob))
+	if err != nil {
+		return 0, err
+	}
+	ov, ok := rep.Overhead(o.Scheme, o.VDD)
+	if !ok {
+		return 0, fmt.Errorf("no overhead entry for %s at %.2f V", o.Scheme, o.VDD)
+	}
+	return ov.PerfPct, nil
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -1,54 +1,41 @@
 // Command tvload is a seeded closed-loop load generator for tvservd: each
 // worker keeps one request in flight, drawing from a fixed population of
-// distinct simulations with Zipf-skewed popularity — the hot head
-// exercises the server's result cache and singleflight, the tail its
-// worker pool. The outcome is a load-report/v1 JSON on stdout (throughput,
-// cache hit rate, latency percentiles) and a human summary on stderr.
+// distinct simulations with Zipf-skewed popularity — the hot head exercises
+// the server's result cache and singleflight, the tail its worker pool. The
+// request mix is deterministic given -seed, so two load runs offer the same
+// work; throughput and latency are what the server made of it.
 //
-// The request mix is deterministic given -seed, so two load runs offer the
-// same work; throughput and latency are what the server made of it.
+// -url takes one base URL or a comma-separated list of cluster nodes; each
+// request then goes to a node drawn from the worker's generator, so every
+// node sees every digest. The outcome is a load-report/v2 JSON on stdout
+// (or -out) and a human summary on stderr: outcome counts as the client saw
+// them (cache hits, answers whose bytes came from a peer, degraded
+// answers), availability, latency percentiles, a per-node breakdown, and a
+// byte-consistency check — every 200 body is hashed per digest, and
+// divergences counts bodies that disagree with the first seen.
+//
+// With -chaos, for a cluster running under fault injection (tvservd
+// -chaos), the load is followed by two anti-entropy rounds on every node,
+// an audit that re-fetches every touched digest from every node and
+// compares the replicas, and a scrape of the breakers' opens from
+// /metrics.
+//
+// With -campaignbench, tvload instead times one warmup-heavy ten-cell grid
+// as three campaigns against a server started with -campaign-dir —
+// cell-independent, the engine's shared-prefix execution, and a cached
+// re-campaign — and emits a campaign-bench/v1 JSON.
+//
+// tvload exits 1 on any request error or byte divergence. The reports'
+// bounds are checked by cmd/tvgate against .github/gates.json.
 //
 // Usage:
 //
 //	tvload -url http://127.0.0.1:8844                 # default mix
 //	tvload -url http://$addr -c 16 -n 2000 -zipf 1.4  # hotter, harder
 //	tvload -url http://$addr -zipf 1 -pop 64 -n 64    # uniform cold sweep
-//	tvload ... -out load.json                         # report to a file
-//
-// With -sweepbench, tvload instead times the same warmup-heavy
-// scheme×voltage sweep twice — warm-state checkpointing off, then on — and
-// emits a sweep-bench/v1 JSON ({cold_ns, warm_ns, speedup}); cmd/tvgate
-// -sweep gates on the speedup.
-//
-// With -sweepprobe, tvload posts one progress-enabled sweep and measures the
-// live telemetry from the consumer side: time to first cell, heartbeat count,
-// the closing heartbeat's provenance accounting, and the mean absolute error
-// of the mid-stream ETAs against the wall time the sweep actually took.
-// Emits a sweep-probe/v1 JSON.
-//
-// With -campaignbench, tvload times the same warm-prefix-heavy grid as
-// three asynchronous campaigns against a server started with -campaign-dir
-// — cell-independent execution, the campaign engine's shared-prefix
-// execution, and a cached re-campaign — and emits a campaign-bench/v1 JSON
-// ({independent_ns, engine_ns, cached_ns, speedup, cached_skip_ratio});
-// cmd/tvgate -campaign gates on it.
-//
-// With -urls (comma-separated base URLs), tvload sprays the same seeded mix
-// across every node of a tvservd cluster and emits a cluster-load-report/v1
-// JSON instead: per-node hit/miss/stolen breakdowns (stolen = the answer's
-// bytes came from a peer via forward or read-through) plus a client-side
-// byte-consistency check across nodes. cmd/tvgate -cluster gates on it.
-//
-// With -urls and -chaos, tvload runs the chaos drill instead: the same
-// sprayed mix against a cluster under fault injection (tvservd -chaos),
-// measuring availability and degraded serving from the client side, then
-// driving anti-entropy on every node and re-auditing every digest across
-// all nodes for byte divergence. Emits a chaos-load-report/v1 JSON;
-// cmd/tvgate -chaos gates on it.
-//
-// Typical cache demonstration: run a cold pass (uniform, population-sized)
-// then a hot pass (Zipf) and compare throughput_rps — the hot pass rides
-// the cache and should be several times faster.
+//	tvload -url http://$a,http://$b -out cluster.json # sprayed over two nodes
+//	tvload -url http://$a,http://$b -chaos -out chaos.json
+//	tvload -url http://$addr -campaignbench -out campbench.json
 package main
 
 import (
@@ -56,292 +43,132 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
-
-	"tvsched/internal/serve"
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is tvload's command line: it returns 0 on a clean run, 1 on a failed
+// run or any request error or byte divergence, and 2 on a usage error.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	cfg := defaultConfig()
+	fs := flag.NewFlagSet("tvload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		url     = flag.String("url", "http://127.0.0.1:8844", "tvservd base URL")
-		urls    = flag.String("urls", "", "comma-separated cluster node URLs; spray the mix across all of them")
-		c       = flag.Int("c", 8, "closed-loop concurrency")
-		n       = flag.Int("n", 200, "total requests")
-		seed    = flag.Uint64("seed", 1, "request-mix seed")
-		pop     = flag.Int("pop", 64, "distinct request cells in the population")
-		zipf    = flag.Float64("zipf", 1.3, "Zipf skew (>1; 1 means uniform mix)")
-		insts   = flag.Uint64("insts", 20000, "instructions per simulation")
-		warmup  = flag.Uint64("warmup", 0, "warmup instructions (0 = library default)")
-		vdd     = flag.Float64("vdd", 0.97, "supply voltage for every cell")
-		benches = flag.String("benchmarks", "", "comma-separated benchmarks (empty = all)")
-		schemes = flag.String("schemes", "ABS", "comma-separated schemes to cycle through")
-		timeout = flag.Duration("timeout", 2*time.Minute, "per-request timeout")
-		out     = flag.String("out", "", "write the JSON report to this file (empty = stdout)")
-
-		sweepBench  = flag.Bool("sweepbench", false, "time a cold-vs-checkpointed sweep instead of generating load")
-		sweepWarmup = flag.Uint64("sweep-warmup", 120000, "sweepbench: warmup instructions per cell")
-		sweepInsts  = flag.Uint64("sweep-insts", 8000, "sweepbench: measured instructions per cell")
-
-		campaignBench  = flag.Bool("campaignbench", false, "time independent vs engine vs cached campaigns instead of generating load (server needs -campaign-dir)")
-		campaignWarmup = flag.Uint64("campaign-warmup", 120000, "campaignbench: warmup instructions per cell")
-		campaignInsts  = flag.Uint64("campaign-insts", 8000, "campaignbench: measured instructions per cell")
-
-		chaosMode = flag.Bool("chaos", false, "with -urls: run the chaos drill (availability, degraded serving, anti-entropy, post-repair byte audit) and emit chaos-load-report/v1")
-
-		sweepProbe  = flag.Bool("sweepprobe", false, "measure a progress-enabled sweep's heartbeat telemetry instead of generating load")
-		probeWarmup = flag.Uint64("probe-warmup", 20000, "sweepprobe: warmup instructions per cell")
-		probeInsts  = flag.Uint64("probe-insts", 4000, "sweepprobe: measured instructions per cell")
+		urls    = fs.String("url", "http://127.0.0.1:8844", "tvservd base URL, or a comma-separated list of cluster nodes to spray the mix across")
+		insts   = fs.Uint64("insts", 0, "measured instructions per cell (0 = 20000, or 8000 with -campaignbench)")
+		warmup  = fs.Uint64("warmup", 0, "warmup instructions per cell (0 = library default, or 120000 with -campaignbench)")
+		benches = fs.String("benchmarks", "", "comma-separated benchmarks (empty = all; -campaignbench uses the first, default bzip2)")
+		schemes = fs.String("schemes", "ABS", "comma-separated schemes to cycle through")
+		out     = fs.String("out", "", "write the JSON report to this file (empty = stdout)")
+		bench   = fs.Bool("campaignbench", false, "time independent vs engine vs cached campaigns instead of generating load (server needs -campaign-dir)")
 	)
-	flag.Parse()
+	fs.IntVar(&cfg.Concurrency, "c", cfg.Concurrency, "closed-loop concurrency")
+	fs.IntVar(&cfg.Requests, "n", cfg.Requests, "total requests")
+	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "request-mix seed")
+	fs.IntVar(&cfg.Population, "pop", cfg.Population, "distinct request cells in the population")
+	fs.Float64Var(&cfg.ZipfS, "zipf", cfg.ZipfS, "Zipf skew (>1; 1 means uniform mix)")
+	fs.Float64Var(&cfg.VDD, "vdd", cfg.VDD, "supply voltage for every cell")
+	fs.DurationVar(&cfg.Timeout, "timeout", cfg.Timeout, "per-request timeout (per campaign with -campaignbench)")
+	fs.BoolVar(&cfg.Chaos, "chaos", false, "after the load: anti-entropy on every node, a cross-node audit of every touched digest, and a breaker scrape")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	for _, u := range strings.Split(*urls, ",") {
+		if u = strings.TrimRight(strings.TrimSpace(u), "/"); u != "" {
+			cfg.URLs = append(cfg.URLs, u)
+		}
+	}
+	if len(cfg.URLs) == 0 || cfg.Concurrency <= 0 || cfg.Population <= 0 || *schemes == "" {
+		fmt.Fprintln(stderr, "tvload: -url, -c, -pop and -schemes must be non-empty")
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "tvload:", err)
+		return 1
+	}
 
-	if *sweepBench {
-		runSweepBench(strings.TrimRight(*url, "/"), *benches, *seed, *sweepWarmup, *sweepInsts, *timeout, *out)
-		return
-	}
-	if *sweepProbe {
-		runSweepProbe(strings.TrimRight(*url, "/"), *benches, *seed, *probeWarmup, *probeInsts, *timeout, *out)
-		return
-	}
-	if *campaignBench {
-		runCampaignBench(strings.TrimRight(*url, "/"), *benches, *seed, *campaignWarmup, *campaignInsts, *timeout, *out)
-		return
+	if *bench {
+		bc := benchConfig{URL: cfg.URLs[0], Benchmark: "bzip2", Warmup: 120000, Instructions: 8000, Seed: cfg.Seed, Timeout: cfg.Timeout}
+		if *benches != "" {
+			bc.Benchmark = strings.Split(*benches, ",")[0]
+		}
+		if *insts != 0 {
+			bc.Instructions = *insts
+		}
+		if *warmup != 0 {
+			bc.Warmup = *warmup
+		}
+		rep, err := runCampaignBench(ctx, bc)
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stderr, "tvload: campaignbench %s: %d cells: independent %.2fs, engine %.2fs (%.2fx), cached %.2fs (skip ratio %.2f)\n",
+			rep.Benchmark, rep.Cells, float64(rep.IndependentNS)/1e9, float64(rep.EngineNS)/1e9,
+			rep.Speedup, float64(rep.CachedNS)/1e9, rep.CachedSkipRatio)
+		if err := writeJSON(rep, *out, stdout); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 
-	cfg := serve.LoadConfig{
-		URL:          strings.TrimRight(*url, "/"),
-		Concurrency:  *c,
-		Requests:     *n,
-		Seed:         *seed,
-		Population:   *pop,
-		ZipfS:        *zipf,
-		Instructions: *insts,
-		Warmup:       *warmup,
-		VDD:          *vdd,
-		Timeout:      *timeout,
-	}
 	if *benches != "" {
 		cfg.Benchmarks = strings.Split(*benches, ",")
 	}
-	if *schemes != "" {
-		cfg.Schemes = strings.Split(*schemes, ",")
+	cfg.Schemes = strings.Split(*schemes, ",")
+	if *insts != 0 {
+		cfg.Instructions = *insts
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if *urls != "" {
-		if *chaosMode {
-			runChaosLoad(ctx, *urls, cfg, *out)
-		} else {
-			runClusterLoad(ctx, *urls, cfg, *out)
-		}
-		return
-	}
-	if *chaosMode {
-		fmt.Fprintln(os.Stderr, "tvload: -chaos requires -urls")
-		os.Exit(2)
-	}
-
-	rep, err := serve.RunLoad(ctx, cfg)
+	cfg.Warmup = *warmup
+	rep, err := runLoad(ctx, cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tvload:", err)
-		os.Exit(1)
+		return fail(err)
 	}
-
-	fmt.Fprintf(os.Stderr,
-		"tvload: %d reqs, %d workers, zipf %.2f over %d cells: %.1f req/s, hit rate %.0f%% (%d hit / %d shared / %d miss / %d rejected / %d error)\n",
-		rep.Requests, rep.Concurrency, rep.ZipfS, rep.Population,
-		rep.ThroughputRPS, 100*rep.HitRate, rep.Hits, rep.Shared, rep.Misses, rep.Rejected, rep.Errors)
-	fmt.Fprintf(os.Stderr, "tvload: latency µs: p50 %.0f p90 %.0f p99 %.0f max %.0f\n",
-		rep.Latency.P50, rep.Latency.P90, rep.Latency.P99, rep.Latency.Max)
-
-	var w *os.File = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tvload:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "tvload:", err)
-		os.Exit(1)
-	}
-	if rep.Errors > 0 {
-		os.Exit(1)
-	}
-}
-
-// runClusterLoad drives the -urls mode: the seeded mix sprayed across every
-// cluster node, reported as cluster-load-report/v1 JSON.
-func runClusterLoad(ctx context.Context, urls string, load serve.LoadConfig, out string) {
-	var targets []string
-	for _, u := range strings.Split(urls, ",") {
-		if u = strings.TrimRight(strings.TrimSpace(u), "/"); u != "" {
-			targets = append(targets, u)
+	fmt.Fprintf(stderr,
+		"tvload: %d reqs over %d node(s), %d workers, zipf %.2f over %d cells: %.1f req/s, availability %.2f%%, hit rate %.0f%% (%d hit / %d shared / %d miss, %d stolen, %d degraded / %d rejected / %d error), %d divergences\n",
+		rep.Requests, len(rep.Nodes), rep.Concurrency, rep.ZipfS, rep.Population, rep.ThroughputRPS,
+		100*rep.Availability, 100*rep.HitRate, rep.Hits, rep.Shared, rep.Misses, rep.Stolen,
+		rep.Degraded, rep.Rejected, rep.Errors, rep.Divergences)
+	fmt.Fprintf(stderr, "tvload: latency µs: p50 %.0f p90 %.0f p99 %.0f max %.0f\n",
+		rep.P50US, rep.P90US, rep.P99US, rep.MaxUS)
+	if len(rep.Nodes) > 1 {
+		for _, n := range rep.Nodes {
+			fmt.Fprintf(stderr, "tvload:   %s: %d reqs, %d hit / %d shared / %d miss (%d stolen, %d degraded), p50 %.0fµs\n",
+				n.URL, n.Sent, n.Hits, n.Shared, n.Misses, n.Stolen, n.Degraded, n.P50US)
 		}
 	}
-	rep, err := serve.RunClusterLoad(ctx, serve.ClusterLoadConfig{URLs: targets, Load: load})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tvload:", err)
-		os.Exit(1)
+	if ph := rep.repairPhase; ph != nil {
+		fmt.Fprintf(stderr, "tvload: anti-entropy: %d checked, %d diverged, %d repaired; post-repair audit: %d digests, %d divergences; %d breaker opens\n",
+			ph.RepairChecked, ph.RepairDiverged, ph.Repaired, ph.PostRepairDigests, ph.PostRepairDivergences, ph.BreakerOpens)
 	}
-	fmt.Fprintf(os.Stderr,
-		"tvload: cluster of %d: %d reqs: %.1f req/s, hit rate %.0f%% (%d hit / %d shared / %d miss, %d stolen / %d rejected / %d error), %d divergences\n",
-		len(rep.Nodes), rep.Requests, rep.ThroughputRPS, 100*rep.HitRate,
-		rep.Hits, rep.Shared, rep.Misses, rep.Stolen, rep.Rejected, rep.Errors, rep.Divergences)
-	for _, n := range rep.Nodes {
-		fmt.Fprintf(os.Stderr,
-			"tvload:   %s: %d reqs, %d hit / %d shared / %d miss (%d stolen), p50 %.0fµs\n",
-			n.URL, n.Requests, n.Hits, n.Shared, n.Misses, n.Stolen, n.Latency.P50)
+	if err := writeJSON(rep, *out, stdout); err != nil {
+		return fail(err)
 	}
-	writeJSON(rep, out)
-	if rep.Errors > 0 || rep.Divergences > 0 {
-		os.Exit(1)
+	if rep.failed() {
+		return 1
 	}
+	return 0
 }
 
-// runChaosLoad drives the -chaos mode: the sprayed mix against a cluster
-// under fault injection, followed by anti-entropy passes and a cross-node
-// byte audit, reported as chaos-load-report/v1 JSON.
-func runChaosLoad(ctx context.Context, urls string, load serve.LoadConfig, out string) {
-	var targets []string
-	for _, u := range strings.Split(urls, ",") {
-		if u = strings.TrimRight(strings.TrimSpace(u), "/"); u != "" {
-			targets = append(targets, u)
-		}
-	}
-	rep, err := serve.RunChaosLoad(ctx, serve.ChaosLoadConfig{URLs: targets, Load: load})
+// writeJSON renders a report, indented, to the file out or else to stdout.
+func writeJSON(rep any, out string, stdout io.Writer) error {
+	blob, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tvload:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Fprintf(os.Stderr,
-		"tvload: chaos drill on %d nodes: %d reqs, availability %.2f%% (%d ok / %d rejected / %d error), %d degraded, %d stolen, %d divergences during load\n",
-		rep.Nodes, rep.Requests, 100*rep.Availability, rep.OK, rep.Rejected, rep.Errors,
-		rep.Degraded, rep.Stolen, rep.Divergences)
-	fmt.Fprintf(os.Stderr,
-		"tvload: anti-entropy: %d checked, %d diverged, %d repaired; post-repair audit: %d digests, %d divergences\n",
-		rep.RepairChecked, rep.RepairDiverged, rep.Repaired,
-		rep.PostRepairDigests, rep.PostRepairDivergences)
-	for key, n := range rep.BreakerTransitions {
-		fmt.Fprintf(os.Stderr, "tvload:   breaker %s ×%d\n", key, n)
-	}
-	writeJSON(rep, out)
-	if rep.Errors > 0 || rep.PostRepairDivergences > 0 {
-		os.Exit(1)
-	}
-}
-
-// runSweepProbe drives the -sweepprobe mode: one progress-enabled sweep,
-// measured from the consumer side, reported as sweep-probe/v1 JSON.
-func runSweepProbe(url, bench string, seed, warmup, insts uint64, timeout time.Duration, out string) {
-	cfg := serve.SweepProbeConfig{
-		URL:          url,
-		Warmup:       warmup,
-		Instructions: insts,
-		Seed:         seed,
-		Timeout:      timeout,
-	}
-	if bench != "" {
-		cfg.Benchmark = strings.Split(bench, ",")[0]
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	rep, err := serve.RunSweepProbe(ctx, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tvload:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr,
-		"tvload: sweepprobe %s: %d cells in %.2fs, first cell after %.0fms, %d heartbeats (%d hit / %d shared / %d restored / %d cold), ETA MAE %.2fs over %d samples\n",
-		rep.Benchmark, rep.Cells, float64(rep.TotalNS)/1e9, float64(rep.TimeToFirstCellNS)/1e6,
-		rep.Heartbeats, rep.Hit, rep.Shared, rep.Restored, rep.Cold, rep.EtaMAESec, rep.EtaSamples)
-	writeJSON(rep, out)
-}
-
-// runCampaignBench drives the -campaignbench mode: the same warm-prefix-heavy
-// grid as three campaigns — cell-independent, engine (shared warm prefixes),
-// and cached (re-POSTed over a warm result cache) — reported as
-// campaign-bench/v1 JSON. cmd/tvgate -campaign gates on it.
-func runCampaignBench(url, bench string, seed, warmup, insts uint64, timeout time.Duration, out string) {
-	cfg := serve.CampaignBenchConfig{
-		URL:          url,
-		Warmup:       warmup,
-		Instructions: insts,
-		Seed:         seed,
-		Timeout:      timeout,
-	}
-	if bench != "" {
-		cfg.Benchmark = strings.Split(bench, ",")[0]
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	rep, err := serve.RunCampaignBench(ctx, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tvload:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr,
-		"tvload: campaignbench %s: %d cells: independent %.2fs, engine %.2fs (%.2fx), cached %.2fs (skip ratio %.2f)\n",
-		rep.Benchmark, rep.Cells, float64(rep.IndependentNS)/1e9, float64(rep.EngineNS)/1e9,
-		rep.Speedup, float64(rep.CachedNS)/1e9, rep.CachedSkipRatio)
-	writeJSON(rep, out)
-}
-
-// writeJSON renders a report to stdout or -out, indented.
-func writeJSON(rep any, out string) {
-	w := os.Stdout
+	blob = append(blob, '\n')
 	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tvload:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
+		return os.WriteFile(out, blob, 0o644)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "tvload:", err)
-		os.Exit(1)
-	}
-}
-
-// runSweepBench drives the -sweepbench mode: one warmup-heavy sweep timed
-// cold, then checkpointed, reported as sweep-bench/v1 JSON.
-func runSweepBench(url, bench string, seed, warmup, insts uint64, timeout time.Duration, out string) {
-	cfg := serve.SweepBenchConfig{
-		URL:          url,
-		Warmup:       warmup,
-		Instructions: insts,
-		Seed:         seed,
-		Timeout:      timeout,
-	}
-	// -benchmarks lists; sweepbench sweeps schemes×voltages over one
-	// workload, so only the first entry applies.
-	if bench != "" {
-		cfg.Benchmark = strings.Split(bench, ",")[0]
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	rep, err := serve.RunSweepBench(ctx, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tvload:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr,
-		"tvload: sweepbench %s: %d cells, warmup %d, insts %d: cold %.2fs, checkpointed %.2fs, speedup %.2fx\n",
-		rep.Benchmark, rep.Cells, rep.Warmup, rep.Instructions,
-		float64(rep.ColdNS)/1e9, float64(rep.WarmNS)/1e9, rep.Speedup)
-	writeJSON(rep, out)
+	_, err = stdout.Write(blob)
+	return err
 }

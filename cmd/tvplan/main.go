@@ -25,7 +25,8 @@
 // The report stream (-out, default stdout) is byte-deterministic for a
 // fixed spec; progress/v1 heartbeats (-progress) go to stderr so they never
 // perturb it. The -summary artifact (tvsched/campaign-summary/v1) carries
-// the per-provenance accounting and the skip ratio tvgate -campaign gates.
+// the per-provenance accounting and the skip ratio the campaign-summary
+// gate bounds (cmd/tvgate, .github/gates.json).
 //
 // Exit status: 0 on a fully successful campaign, 1 when any cell failed or
 // the campaign machinery broke (an interrupted campaign reports how far the

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -68,9 +69,10 @@ func run(name, src string, init func(*tvsched.AsmMachine)) {
 		{"EP         @0.97V", tvsched.EP, tvsched.VHighFault},
 		{"ABS        @0.97V", tvsched.ABS, tvsched.VHighFault},
 	}
+	ctx := context.Background()
 	var base float64
 	for _, k := range kinds {
-		res, err := tvsched.RunAsm(tvsched.Config{
+		s, err := tvsched.NewAsmSession(tvsched.Config{
 			Scheme:       k.scheme,
 			VDD:          k.vdd,
 			Instructions: 120000,
@@ -79,6 +81,13 @@ func run(name, src string, init func(*tvsched.AsmMachine)) {
 			// so some of them land in the fault-prone tail.
 			FaultBias: 6,
 		}, src, init)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := s.Warmup(ctx); err != nil {
+			log.Fatal(err)
+		}
+		res, err := s.Run(ctx, tvsched.RunOpts{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -50,7 +51,7 @@ func main() {
 	fmt.Println("\nConsequence at the architecture level (0.97V, ABS):")
 	fmt.Printf("%-12s %10s %12s\n", "benchmark", "FR%", "TEP coverage")
 	for _, bench := range []string{"bzip2", "sjeng", "mcf"} {
-		res, err := tvsched.Run(tvsched.Config{
+		res, err := simulate(tvsched.Config{
 			Benchmark:    bench,
 			Scheme:       tvsched.ABS,
 			VDD:          tvsched.VHighFault,
@@ -63,4 +64,18 @@ func main() {
 	}
 	fmt.Println("\nHigh commonality at the gate level is what makes per-PC timing")
 	fmt.Println("violations repeatable — and hence predictable — at the pipe level.")
+}
+
+// simulate runs one configuration through the Session lifecycle: build the
+// machine, warm it up at its operating point, then measure.
+func simulate(cfg tvsched.Config) (tvsched.Result, error) {
+	ctx := context.Background()
+	s, err := tvsched.NewSession(cfg)
+	if err != nil {
+		return tvsched.Result{}, err
+	}
+	if err := s.Warmup(ctx); err != nil {
+		return tvsched.Result{}, err
+	}
+	return s.Run(ctx, tvsched.RunOpts{})
 }

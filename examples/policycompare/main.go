@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -30,33 +31,58 @@ func main() {
 		vdd = v
 	}
 
-	schemes := []tvsched.Scheme{tvsched.Razor, tvsched.EP, tvsched.ABS, tvsched.FFS, tvsched.CDS}
-	cs, err := tvsched.Compare(tvsched.Config{
-		Benchmark:    bench,
-		VDD:          vdd,
-		Instructions: 200000,
-	}, schemes)
+	// Each scheme's overheads are relative to the same machine running
+	// fault-free at the nominal supply.
+	cfg := tvsched.Config{Benchmark: bench, Scheme: tvsched.ABS, VDD: tvsched.VNominal, Instructions: 200000}
+	base, err := simulate(cfg)
 	if err != nil {
 		log.Fatal(err)
+	}
+	type row struct {
+		scheme   tvsched.Scheme
+		ipc      float64
+		perf, ed float64 // relative IPC and energy-delay degradation
+	}
+	var rows []row
+	var epOv float64
+	for _, s := range []tvsched.Scheme{tvsched.Razor, tvsched.EP, tvsched.ABS, tvsched.FFS, tvsched.CDS} {
+		cfg.Scheme, cfg.VDD = s, vdd
+		res, err := simulate(cfg)
+		if err != nil {
+			log.Fatalf("%s/%v: %v", bench, s, err)
+		}
+		r := row{s, res.IPC, max(0, base.IPC/res.IPC-1), max(0, res.Energy.EDP()/base.Energy.EDP()-1)}
+		if s == tvsched.EP {
+			epOv = r.perf
+		}
+		rows = append(rows, r)
 	}
 
 	fmt.Printf("%s @ %.2fV — overheads vs fault-free execution\n", bench, vdd)
 	fmt.Printf("%-6s %8s %12s %12s %14s\n", "scheme", "IPC", "perf ovhd", "ED ovhd", "vs EP (perf)")
-	var epOv float64
-	for _, c := range cs {
-		if c.Scheme == tvsched.EP {
-			epOv = c.PerfOverhead
-		}
-	}
-	for _, c := range cs {
+	for _, r := range rows {
 		rel := "-"
-		if epOv > 0 && c.Scheme != tvsched.Razor && c.Scheme != tvsched.EP {
-			rel = fmt.Sprintf("%.2fx", c.PerfOverhead/epOv)
+		if epOv > 0 && r.scheme != tvsched.Razor && r.scheme != tvsched.EP {
+			rel = fmt.Sprintf("%.2fx", r.perf/epOv)
 		}
 		fmt.Printf("%-6v %8.3f %11.2f%% %11.2f%% %14s\n",
-			c.Scheme, c.IPC, 100*c.PerfOverhead, 100*c.EDOverhead, rel)
+			r.scheme, r.ipc, 100*r.perf, 100*r.ed, rel)
 	}
 	fmt.Println("\nThe violation-aware schemes (ABS/FFS/CDS) confine each predicted")
 	fmt.Println("violation to the faulty instruction and its dependents; EP stalls the")
 	fmt.Println("whole pipeline per violation and Razor replays every one of them.")
+}
+
+// simulate runs one configuration through the Session lifecycle: build the
+// machine, warm it up at its operating point, then measure.
+func simulate(cfg tvsched.Config) (tvsched.Result, error) {
+	ctx := context.Background()
+	s, err := tvsched.NewSession(cfg)
+	if err != nil {
+		return tvsched.Result{}, err
+	}
+	if err := s.Warmup(ctx); err != nil {
+		return tvsched.Result{}, err
+	}
+	return s.Run(ctx, tvsched.RunOpts{})
 }

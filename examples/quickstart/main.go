@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,7 +15,7 @@ import (
 func main() {
 	// Run bzip2 at 0.97 V — the paper's high-fault-rate environment — under
 	// age-based violation-aware scheduling (ABS).
-	res, err := tvsched.Run(tvsched.Config{
+	res, err := simulate(tvsched.Config{
 		Benchmark:    "bzip2",
 		Scheme:       tvsched.ABS,
 		VDD:          tvsched.VHighFault,
@@ -34,7 +35,7 @@ func main() {
 	fmt.Printf("  energy/instr:     %.1f pJ\n", res.Energy.EPI())
 
 	// The same machine, fault-free, for reference.
-	base, err := tvsched.Run(tvsched.Config{
+	base, err := simulate(tvsched.Config{
 		Benchmark:    "bzip2",
 		Scheme:       tvsched.ABS,
 		VDD:          tvsched.VNominal,
@@ -45,4 +46,18 @@ func main() {
 	}
 	fmt.Printf("\nfault-free IPC %.3f -> overhead of tolerating a %.1f%% fault rate: %.2f%%\n",
 		base.IPC, 100*res.FaultRate, 100*(base.IPC/res.IPC-1))
+}
+
+// simulate runs one configuration through the Session lifecycle: build the
+// machine, warm it up at its operating point, then measure.
+func simulate(cfg tvsched.Config) (tvsched.Result, error) {
+	ctx := context.Background()
+	s, err := tvsched.NewSession(cfg)
+	if err != nil {
+		return tvsched.Result{}, err
+	}
+	if err := s.Warmup(ctx); err != nil {
+		return tvsched.Result{}, err
+	}
+	return s.Run(ctx, tvsched.RunOpts{})
 }

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -25,7 +26,7 @@ func main() {
 	}
 	const insts = 150000
 
-	base, err := tvsched.Run(tvsched.Config{
+	base, err := simulate(tvsched.Config{
 		Benchmark: bench, Scheme: tvsched.ABS, VDD: tvsched.VNominal, Instructions: insts,
 	})
 	if err != nil {
@@ -38,7 +39,7 @@ func main() {
 		var fr float64
 		ov := map[tvsched.Scheme]float64{}
 		for _, s := range []tvsched.Scheme{tvsched.EP, tvsched.ABS, tvsched.Razor} {
-			res, err := tvsched.Run(tvsched.Config{
+			res, err := simulate(tvsched.Config{
 				Benchmark: bench, Scheme: s, VDD: vdd, Instructions: insts,
 			})
 			if err != nil {
@@ -57,4 +58,18 @@ func main() {
 	fmt.Println("\nAs voltage drops the fault rate climbs; EP and Razor overheads climb")
 	fmt.Println("with it while violation-aware scheduling absorbs nearly all of it —")
 	fmt.Println("the headroom that lets a core run at a tighter operating point.")
+}
+
+// simulate runs one configuration through the Session lifecycle: build the
+// machine, warm it up at its operating point, then measure.
+func simulate(cfg tvsched.Config) (tvsched.Result, error) {
+	ctx := context.Background()
+	s, err := tvsched.NewSession(cfg)
+	if err != nil {
+		return tvsched.Result{}, err
+	}
+	if err := s.Warmup(ctx); err != nil {
+		return tvsched.Result{}, err
+	}
+	return s.Run(ctx, tvsched.RunOpts{})
 }

@@ -21,7 +21,7 @@ const (
 	// line (the sweep is a journal-less campaign), so consumers share code.
 	ReportSchema = "tvsched/campaign-report/v1"
 	// SummarySchema tags the end-of-campaign accounting artifact
-	// (tvplan -summary), the input of tvgate -campaign skip-ratio gating.
+	// (tvplan -summary), the input of the campaign-summary gate.
 	SummarySchema = "tvsched/campaign-summary/v1"
 	// PlanSchema tags the dry-run plan description (tvplan -plan).
 	PlanSchema = "tvsched/campaign-plan/v1"
@@ -223,7 +223,7 @@ type Line struct {
 // Summary is the end-of-campaign accounting artifact
 // (tvsched/campaign-summary/v1): how every cell resolved, how many were
 // replayed from the journal rather than executed, and the cached-cell skip
-// ratio tvgate -campaign gates on.
+// ratio the campaign-summary gate (.github/gates.json) bounds.
 type Summary struct {
 	Schema string `json:"schema"`
 	Plan   string `json:"plan"`

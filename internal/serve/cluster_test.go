@@ -308,68 +308,6 @@ func TestStoreSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestRunClusterLoad sprays a seeded mix at both nodes and checks the
-// cluster-load-report/v1 accounting: every request lands, no divergences,
-// the per-node breakdown sums to the aggregate, and cross-node traffic on a
-// shared digest population produces stolen responses.
-func TestRunClusterLoad(t *testing.T) {
-	a, b := newTestCluster(t, nil, nil)
-	rep, err := RunClusterLoad(context.Background(), ClusterLoadConfig{
-		URLs: []string{a.url, b.url},
-		Load: LoadConfig{
-			Concurrency:  4,
-			Requests:     60,
-			Seed:         1,
-			Population:   8,
-			ZipfS:        1.3,
-			Instructions: 1000,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != ClusterLoadReportSchema {
-		t.Fatalf("schema %q, want %q", rep.Schema, ClusterLoadReportSchema)
-	}
-	if rep.Errors != 0 || rep.Rejected != 0 {
-		t.Fatalf("errors=%d rejected=%d, want clean run", rep.Errors, rep.Rejected)
-	}
-	if rep.Divergences != 0 {
-		t.Fatalf("divergences=%d on a deterministic cluster, want 0", rep.Divergences)
-	}
-	if got := rep.Hits + rep.Shared + rep.Misses; got != 60 {
-		t.Fatalf("classified %d responses, want all 60", got)
-	}
-	if len(rep.Nodes) != 2 {
-		t.Fatalf("%d node entries, want 2", len(rep.Nodes))
-	}
-	var nodeReqs, nodeStolen uint64
-	for _, n := range rep.Nodes {
-		nodeReqs += n.Requests
-		nodeStolen += n.Stolen
-		if n.Requests == 0 {
-			t.Fatalf("node %s saw no traffic", n.URL)
-		}
-	}
-	if nodeReqs != 60 || nodeStolen != rep.Stolen {
-		t.Fatalf("per-node sums reqs=%d stolen=%d, want 60 and %d", nodeReqs, nodeStolen, rep.Stolen)
-	}
-	// 8 digests sprayed over 2 nodes: some first touches must land at the
-	// non-owner and come back forwarded.
-	if rep.Stolen == 0 {
-		t.Fatal("no stolen responses despite cross-node traffic on shared digests")
-	}
-	if rep.Stolen > rep.Misses {
-		t.Fatalf("stolen=%d exceeds misses=%d", rep.Stolen, rep.Misses)
-	}
-	// At most one simulation per digest cluster-wide: the Zipf mix draws
-	// from 8 digests, so more than 8 runs means a digest was simulated on
-	// both nodes despite the routing.
-	if total := a.runs.Load() + b.runs.Load(); total < 1 || total > 8 {
-		t.Fatalf("cluster simulated %d times over 8 distinct digests", total)
-	}
-}
-
 func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)

@@ -17,8 +17,6 @@ const (
 	RunRequestSchema = "tvsched/run-request/v1"
 	// SweepRequestSchema tags a cross-product sweep (POST /v1/sweep).
 	SweepRequestSchema = "tvsched/sweep-request/v1"
-	// LoadReportSchema tags the load generator's artifact (cmd/tvload).
-	LoadReportSchema = "tvsched/load-report/v1"
 )
 
 // ErrBadRequest reports a request the server refuses to simulate: wrong

@@ -34,10 +34,9 @@
 //	res, err := s.Run(ctx, tvsched.RunOpts{})
 //	fmt.Println(res.IPC, res.FaultRate, res.Coverage)
 //
-// Session is the unified lifecycle API: construct, warm up, optionally
-// checkpoint (Snapshot) or restore a previous warm state (Restore), then
-// measure. The free functions Run, Compare, RunProfile and RunAsm remain as
-// deprecated one-call wrappers.
+// Session is the lifecycle API: construct (NewSession, NewProfileSession or
+// NewAsmSession), warm up, optionally checkpoint (Snapshot) or restore a
+// previous warm state (Restore), then measure.
 //
 // See cmd/tvbench for the full paper reproduction and EXPERIMENTS.md for the
 // paper-vs-measured record.
@@ -207,7 +206,7 @@ func NewMetrics() *Metrics { return obs.NewMetrics() }
 func NewChromeTracer() *ChromeTracer { return obs.NewChromeTracer() }
 
 // NewCPIStack builds a cycle-accounting profiler; zero config fields take
-// the Core-1 machine defaults, matching what Run simulates.
+// the Core-1 machine defaults, matching what a Session simulates.
 func NewCPIStack(cfg CPIStackConfig) *CPIStack { return obs.NewCPIStack(cfg) }
 
 // NewExposition renders the given sources (either may be nil) in the
@@ -284,7 +283,7 @@ func (c *Config) fill() {
 }
 
 // Normalized returns the config with every default applied — the exact
-// parameters Run would simulate. Normalizing before comparing or digesting
+// parameters a Session would simulate. Normalizing before comparing or digesting
 // makes an omitted field and its explicit default the same simulation.
 func (c Config) Normalized() Config {
 	c.fill()
@@ -361,8 +360,7 @@ func resultFrom(st PipeStats) Result {
 
 // simConfig maps the facade config onto the session layer's. Benchmark and
 // profile sessions always use the profile's calibrated fault bias; the
-// FaultBias field only reaches asm sessions — both matching the historical
-// free-function behaviour.
+// FaultBias field only reaches asm sessions.
 func (c Config) simConfig() sim.Config {
 	return sim.Config{
 		Benchmark: c.Benchmark,
@@ -448,8 +446,8 @@ func NewAsmSession(cfg Config, source string, init func(m *AsmMachine)) (*Sessio
 
 // Warmup simulates Config.Warmup committed instructions at the configured
 // supply voltage and discards statistics, keeping micro-architectural warm
-// state. This is the historical warmup the deprecated free functions wrap;
-// its warm state depends on (scheme, VDD), so Snapshot refuses it unless the
+// state (the per-cell warmup tvbench, tvsim and tvstorm measure after). Its
+// warm state depends on (scheme, VDD), so Snapshot refuses it unless the
 // configured supply is already VNominal — use WarmupNeutral to checkpoint.
 func (s *Session) Warmup(ctx context.Context) error { return s.s.Warmup(ctx) }
 
@@ -524,98 +522,6 @@ func (s *Session) SetObserver(o Observer) { s.s.SetObserver(o) }
 // Config returns the session's configuration with all defaults applied.
 func (s *Session) Config() Config { return s.cfg }
 
-// Run simulates one (benchmark, scheme, voltage) combination.
-//
-// Deprecated: use NewSession followed by Warmup and Session.Run.
-func Run(cfg Config) (Result, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run with cancellation: when ctx is cancelled the simulation
-// stops within 256 simulated cycles and the context's error is returned.
-//
-// Deprecated: use NewSession followed by Warmup and Session.Run.
-func RunContext(ctx context.Context, cfg Config) (Result, error) {
-	s, err := NewSession(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := s.Warmup(ctx); err != nil {
-		return Result{}, err
-	}
-	return s.Run(ctx, RunOpts{})
-}
-
-// Comparison reports a scheme's overheads versus fault-free execution of the
-// same benchmark: the numbers behind Table 1 and Figures 4/5/8/9.
-type Comparison struct {
-	Scheme       Scheme
-	IPC          float64
-	PerfOverhead float64 // relative IPC degradation vs fault-free
-	EDOverhead   float64 // relative energy-delay degradation vs fault-free
-}
-
-// Compare runs the given schemes plus the fault-free baseline and returns
-// per-scheme overheads. cfg supplies the benchmark, voltage, phase length,
-// seed and observer — in particular the seed is respected, so comparisons are
-// reproducible under any Config (earlier revisions pinned Seed to 1);
-// cfg.Scheme is ignored in favour of the schemes argument.
-//
-// Deprecated: use one Session per (scheme, voltage) cell; the overhead
-// arithmetic is two lines per scheme. Compare remains for Table 1-style
-// one-call comparisons.
-func Compare(cfg Config, schemes []Scheme) ([]Comparison, error) {
-	return CompareContext(context.Background(), cfg, schemes)
-}
-
-// CompareContext is Compare with cancellation.
-//
-// Deprecated: see Compare.
-func CompareContext(ctx context.Context, cfg Config, schemes []Scheme) ([]Comparison, error) {
-	cfg.fill()
-	cell := func(scheme Scheme, vdd float64) (Result, error) {
-		ccfg := cfg
-		ccfg.Scheme = scheme
-		ccfg.VDD = vdd
-		s, err := NewSession(ccfg)
-		if err != nil {
-			return Result{}, err
-		}
-		if err := s.Warmup(ctx); err != nil {
-			return Result{}, err
-		}
-		return s.Run(ctx, RunOpts{})
-	}
-	base, err := cell(ABS, VNominal)
-	if err != nil {
-		return nil, err
-	}
-	var out []Comparison
-	for _, sch := range schemes {
-		r, err := cell(sch, cfg.VDD)
-		if err != nil {
-			return nil, fmt.Errorf("tvsched: %s/%v: %w", cfg.Benchmark, sch, err)
-		}
-		perfOv := 0.0
-		if ipc := r.Stats.IPC(); ipc != 0 {
-			if ov := base.Stats.IPC()/ipc - 1; ov > 0 {
-				perfOv = ov
-			}
-		}
-		edOv := energy.Overhead(r.Energy, base.Energy)
-		if edOv < 0 {
-			edOv = 0
-		}
-		out = append(out, Comparison{
-			Scheme:       sch,
-			IPC:          r.Stats.IPC(),
-			PerfOverhead: perfOv,
-			EDOverhead:   edOv,
-		})
-	}
-	return out, nil
-}
-
 // WorkloadProfile re-exports the synthetic benchmark parameterization so
 // downstream users can model their own workloads: instruction mix,
 // dependency-distance distribution (ILP), memory-level behaviour, branch
@@ -626,41 +532,6 @@ type WorkloadProfile = workload.Profile
 // Profile returns the calibrated profile for one of the bundled benchmarks,
 // as a starting point for custom workloads.
 func Profile(name string) (WorkloadProfile, bool) { return workload.ByName(name) }
-
-// RunProfile simulates a custom workload profile under the given scheme and
-// voltage; cfg.Benchmark is ignored.
-//
-// Deprecated: use NewProfileSession followed by Warmup and Session.Run.
-func RunProfile(cfg Config, prof WorkloadProfile) (Result, error) {
-	s, err := NewProfileSession(cfg, prof)
-	if err != nil {
-		return Result{}, err
-	}
-	ctx := context.Background()
-	if err := s.Warmup(ctx); err != nil {
-		return Result{}, err
-	}
-	return s.Run(ctx, RunOpts{})
-}
-
-// RunAsm assembles a kernel written in the repository's mini assembly
-// (see internal/asm for the syntax), executes it architecturally, and drives
-// the pipeline model with the resulting committed stream. init, when
-// non-nil, seeds registers and memory before execution (kernel arguments).
-// cfg.Benchmark is ignored.
-//
-// Deprecated: use NewAsmSession followed by Warmup and Session.Run.
-func RunAsm(cfg Config, source string, init func(m *AsmMachine)) (Result, error) {
-	s, err := NewAsmSession(cfg, source, init)
-	if err != nil {
-		return Result{}, err
-	}
-	ctx := context.Background()
-	if err := s.Warmup(ctx); err != nil {
-		return Result{}, err
-	}
-	return s.Run(ctx, RunOpts{})
-}
 
 // AsmMachine re-exports the mini-ISA interpreter for kernel setup.
 type AsmMachine = asm.Machine

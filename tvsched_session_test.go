@@ -1,69 +1,12 @@
 package tvsched_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"testing"
 
 	"tvsched"
-	"tvsched/internal/experiments"
-	"tvsched/internal/obs"
 )
-
-// report renders the run-report/v1 JSON a tool like tvsim would emit for the
-// result, so wrapper-vs-session identity is checked on the wire bytes the
-// checklist cares about, not just on in-memory structs.
-func report(t *testing.T, cfg tvsched.Config, res tvsched.Result) []byte {
-	t.Helper()
-	rep := &obs.RunReport{
-		Tool:         "test",
-		Benchmark:    cfg.Benchmark,
-		Scheme:       cfg.Scheme.String(),
-		VDD:          cfg.VDD,
-		Seed:         cfg.Seed,
-		Instructions: res.Stats.Committed,
-		Cycles:       res.Stats.Cycles,
-		IPC:          res.Stats.IPC(),
-		TEP:          experiments.TEPAccuracyFrom(&res.Stats),
-	}
-	var b bytes.Buffer
-	if err := rep.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	return b.Bytes()
-}
-
-// TestSessionWrapperIdentity pins the API-redesign contract: the deprecated
-// free functions are thin wrappers over Session and their output — down to
-// run-report/v1 bytes — is identical to driving the Session directly.
-func TestSessionWrapperIdentity(t *testing.T) {
-	cfg := tvsched.Config{Benchmark: "sjeng", Scheme: tvsched.FFS, VDD: tvsched.VHighFault,
-		Instructions: 60000, Seed: 5}
-	old, err := tvsched.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	s, err := tvsched.NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Warmup(ctx); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run(ctx, tvsched.RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old != res {
-		t.Fatalf("deprecated Run diverged from Session:\n  %+v\n  %+v", old, res)
-	}
-	norm := cfg.Normalized()
-	if o, n := report(t, norm, old), report(t, norm, res); !bytes.Equal(o, n) {
-		t.Fatalf("run-report bytes differ:\n%s\n%s", o, n)
-	}
-}
 
 // TestSessionCheckpointLifecycle exercises the full lifecycle the serving
 // layer builds on: a neutral warmup's snapshot restores into a fresh session

@@ -6,11 +6,39 @@ import (
 	"testing"
 	"time"
 
+	"tvsched/internal/energy"
 	"tvsched/internal/pipeline"
 )
 
+// simulate runs one cell through the Session lifecycle: build, warm up at
+// the cell's own operating point, measure.
+func simulate(ctx context.Context, cfg Config) (Result, error) {
+	s, err := NewSession(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return measure(ctx, s)
+}
+
+// measure warms a freshly built session up and runs its measured phase.
+func measure(ctx context.Context, s *Session) (Result, error) {
+	if err := s.Warmup(ctx); err != nil {
+		return Result{}, err
+	}
+	return s.Run(ctx, RunOpts{})
+}
+
+func mustSimulate(t *testing.T, cfg Config) Result {
+	t.Helper()
+	res, err := simulate(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestSentinelErrors(t *testing.T) {
-	if _, err := Run(Config{Benchmark: "nope", Instructions: 1000}); !errors.Is(err, ErrUnknownBenchmark) {
+	if _, err := NewSession(Config{Benchmark: "nope", Instructions: 1000}); !errors.Is(err, ErrUnknownBenchmark) {
 		t.Errorf("unknown benchmark not matchable: %v", err)
 	}
 	if _, err := ParseScheme("nope"); !errors.Is(err, ErrUnknownScheme) {
@@ -29,7 +57,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if _, err := RunContext(ctx, Config{Instructions: 500000}); !errors.Is(err, context.Canceled) {
+	if _, err := simulate(ctx, Config{Instructions: 500000}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled context: %v", err)
 	}
 	if d := time.Since(start); d > time.Second {
@@ -44,7 +72,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := RunContext(ctx, Config{Benchmark: "sjeng", Instructions: 50_000_000})
+	_, err := simulate(ctx, Config{Benchmark: "sjeng", Instructions: 50_000_000})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("mid-run deadline: %v", err)
 	}
@@ -72,10 +100,7 @@ func TestConfigObserverSeesRetires(t *testing.T) {
 			}
 		}),
 	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustSimulate(t, cfg)
 	// The observer is attached for warmup and the measured phase; commit
 	// width lets each phase overshoot its target by a few instructions.
 	total := cfg.Warmup + cfg.Instructions
@@ -94,28 +119,20 @@ func TestCompareRespectsSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run comparison is slow in -short mode")
 	}
-	run := func(seed uint64) []Comparison {
-		cs, err := Compare(Config{Benchmark: "bzip2", VDD: VHighFault, Instructions: 40000, Seed: seed},
-			[]Scheme{ABS})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cs
+	ipc := func(seed uint64) float64 {
+		return mustSimulate(t, Config{Benchmark: "bzip2", Scheme: ABS, VDD: VHighFault, Instructions: 40000, Seed: seed}).IPC
 	}
-	a, b, c := run(3), run(3), run(7)
-	if a[0].IPC != b[0].IPC {
-		t.Fatalf("same seed, different IPC: %v vs %v", a[0].IPC, b[0].IPC)
+	a, b, c := ipc(3), ipc(3), ipc(7)
+	if a != b {
+		t.Fatalf("same seed, different IPC: %v vs %v", a, b)
 	}
-	if a[0].IPC == c[0].IPC {
-		t.Fatalf("seed ignored: IPC %v for both seeds", a[0].IPC)
+	if a == c {
+		t.Fatalf("seed ignored: IPC %v for both seeds", a)
 	}
 }
 
 func TestRunDefaults(t *testing.T) {
-	res, err := Run(Config{Instructions: 30000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustSimulate(t, Config{Instructions: 30000})
 	if res.IPC <= 0 {
 		t.Fatal("no progress")
 	}
@@ -128,15 +145,12 @@ func TestRunDefaults(t *testing.T) {
 }
 
 func TestRunFaultyEnvironment(t *testing.T) {
-	res, err := Run(Config{
+	res := mustSimulate(t, Config{
 		Benchmark:    "sjeng",
 		Scheme:       FFS,
 		VDD:          VHighFault,
 		Instructions: 40000,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.FaultRate <= 0.02 || res.FaultRate > 0.15 {
 		t.Fatalf("fault rate %v outside the 0.97V band", res.FaultRate)
 	}
@@ -146,7 +160,7 @@ func TestRunFaultyEnvironment(t *testing.T) {
 }
 
 func TestRunUnknownBenchmark(t *testing.T) {
-	if _, err := Run(Config{Benchmark: "nope", Instructions: 1000}); err == nil {
+	if _, err := simulate(context.Background(), Config{Benchmark: "nope", Instructions: 1000}); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
@@ -168,30 +182,32 @@ func TestBenchmarksList(t *testing.T) {
 	}
 }
 
+// TestCompareOrdering runs one session per scheme beside a fault-free one
+// and checks the overheads order as the paper's Table 1 does.
 func TestCompareOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run comparison is slow in -short mode")
 	}
-	cs, err := Compare(Config{Benchmark: "bzip2", VDD: VHighFault, Instructions: 60000},
-		[]Scheme{Razor, EP, ABS})
-	if err != nil {
-		t.Fatal(err)
+	cfg := Config{Benchmark: "bzip2", Scheme: ABS, VDD: VNominal, Instructions: 60000}
+	base := mustSimulate(t, cfg)
+	type overheads struct{ perf, ed float64 }
+	ov := map[Scheme]overheads{}
+	for _, sch := range []Scheme{Razor, EP, ABS} {
+		cfg.Scheme, cfg.VDD = sch, VHighFault
+		r := mustSimulate(t, cfg)
+		ov[sch] = overheads{max(0, base.IPC/r.IPC-1), max(0, energy.Overhead(r.Energy, base.Energy))}
 	}
-	if len(cs) != 3 {
-		t.Fatalf("3 comparisons expected")
-	}
-	razor, ep, abs := cs[0], cs[1], cs[2]
-	if !(razor.PerfOverhead > ep.PerfOverhead && ep.PerfOverhead > abs.PerfOverhead) {
-		t.Fatalf("overhead ordering broken: razor=%v ep=%v abs=%v",
-			razor.PerfOverhead, ep.PerfOverhead, abs.PerfOverhead)
+	razor, ep, abs := ov[Razor], ov[EP], ov[ABS]
+	if !(razor.perf > ep.perf && ep.perf > abs.perf) {
+		t.Fatalf("overhead ordering broken: razor=%v ep=%v abs=%v", razor.perf, ep.perf, abs.perf)
 	}
 	// The paper's headline: the proposed scheme eliminates most of the EP
 	// baseline's overhead.
-	if abs.PerfOverhead > ep.PerfOverhead*0.5 {
-		t.Fatalf("ABS %v not well below EP %v", abs.PerfOverhead, ep.PerfOverhead)
+	if abs.perf > ep.perf*0.5 {
+		t.Fatalf("ABS %v not well below EP %v", abs.perf, ep.perf)
 	}
-	if abs.EDOverhead > ep.EDOverhead*0.6 {
-		t.Fatalf("ABS ED %v not well below EP ED %v", abs.EDOverhead, ep.EDOverhead)
+	if abs.ed > ep.ed*0.6 {
+		t.Fatalf("ABS ED %v not well below EP ED %v", abs.ed, ep.ed)
 	}
 }
 
@@ -203,18 +219,19 @@ func TestRunProfileCustomWorkload(t *testing.T) {
 	// Derive a more memory-bound variant of bzip2.
 	prof.Name = "bzip2-membound"
 	prof.DRAMRate = 0.02
-	res, err := RunProfile(Config{
+	s, err := NewProfileSession(Config{
 		Scheme: ABS, VDD: VHighFault, Instructions: 30000,
 	}, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Run(Config{
-		Benchmark: "bzip2", Scheme: ABS, VDD: VHighFault, Instructions: 30000,
-	})
+	res, err := measure(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := mustSimulate(t, Config{
+		Benchmark: "bzip2", Scheme: ABS, VDD: VHighFault, Instructions: 30000,
+	})
 	if res.IPC >= base.IPC {
 		t.Fatalf("memory-bound variant IPC %v not below baseline %v", res.IPC, base.IPC)
 	}
@@ -222,7 +239,7 @@ func TestRunProfileCustomWorkload(t *testing.T) {
 
 func TestRunProfileInvalid(t *testing.T) {
 	var bad WorkloadProfile // zero profile fails validation
-	if _, err := RunProfile(Config{Instructions: 100}, bad); err == nil {
+	if _, err := NewProfileSession(Config{Instructions: 100}, bad); err == nil {
 		t.Fatal("invalid profile accepted")
 	}
 }
@@ -241,11 +258,15 @@ loop:
     blt  r2, r3, loop
     halt
 `
-	res, err := RunAsm(Config{
+	s, err := NewAsmSession(Config{
 		Scheme: ABS, VDD: VHighFault, Instructions: 20000, Warmup: 5000,
 	}, kernel, func(m *AsmMachine) {
 		m.SetReg(9, 7) // exercise the init hook
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := measure(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +279,7 @@ loop:
 }
 
 func TestRunAsmSyntaxError(t *testing.T) {
-	if _, err := RunAsm(Config{Instructions: 10}, "frobnicate r1", nil); err == nil {
+	if _, err := NewAsmSession(Config{Instructions: 10}, "frobnicate r1", nil); err == nil {
 		t.Fatal("bad kernel accepted")
 	}
 }
