@@ -5,7 +5,7 @@
 //	tvbench                    # everything
 //	tvbench -exp table1        # one experiment
 //	tvbench -n 1000000         # paper-scale 1M-instruction phases
-//	tvbench -pprof :8080       # live /metrics + expvar + pprof while running
+//	tvbench -pprof :8080       # live /metrics + pprof while running
 //	tvbench -exp table1 -json out.json   # artifacts + BENCH_table1.json
 //
 // Experiments: table1, fig4, fig5, fig8, fig9, table2, table3, fig7, all.
@@ -16,7 +16,6 @@
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"net/http"
@@ -41,7 +40,7 @@ func main() {
 		csvDir  = flag.String("csvdir", "", "also write CSVs (table1.csv, fig*.csv) into this directory")
 		svgDir  = flag.String("svgdir", "", "also write figures as SVG bar charts into this directory")
 		seeds   = flag.Int("seeds", 0, "rerun figures across N seeds and report mean±sigma of the reduction")
-		pprofA  = flag.String("pprof", "", "serve /debug/pprof and /debug/vars on this address while running (e.g. :8080)")
+		pprofA  = flag.String("pprof", "", "serve /metrics and /debug/pprof on this address while running (e.g. :8080)")
 	)
 	flag.Parse()
 
@@ -60,17 +59,15 @@ func main() {
 		cfg.Observer = obs.Multi(metrics, stack)
 	}
 	if *pprofA != "" {
-		// Published three ways while running: the Prometheus text format at
-		// /metrics, expvar JSON under /debug/vars, pprof at /debug/pprof.
-		metrics.Publish("tvbench")
-		expvar.NewString("tvbench.experiment").Set(*exp)
+		// Published while running: the Prometheus text format at /metrics,
+		// pprof at /debug/pprof.
 		http.Handle("/metrics", obs.NewExposition("tvbench", metrics, stack).Handler())
 		go func() {
 			if err := http.ListenAndServe(*pprofA, nil); err != nil {
 				fmt.Fprintln(os.Stderr, "tvbench: pprof server:", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "tvbench: serving http://%s/metrics, /debug/pprof and /debug/vars\n", *pprofA)
+		fmt.Fprintf(os.Stderr, "tvbench: serving http://%s/metrics and /debug/pprof\n", *pprofA)
 	}
 	suite := experiments.NewSuite(cfg)
 

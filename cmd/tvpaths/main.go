@@ -21,7 +21,6 @@ import (
 	"tvsched/internal/experiments"
 	"tvsched/internal/fault"
 	"tvsched/internal/netlist"
-	"tvsched/internal/obs"
 	"tvsched/internal/ssta"
 )
 
@@ -35,16 +34,12 @@ func main() {
 	flag.Parse()
 
 	if *pprofA != "" {
-		// tvpaths drives no pipeline simulation, so its /metrics exposition
-		// is empty (still valid Prometheus text); it exists for tooling
-		// uniformity with tvsim/tvbench.
-		http.Handle("/metrics", obs.NewExposition("tvpaths", nil, nil).Handler())
 		go func() {
 			if err := http.ListenAndServe(*pprofA, nil); err != nil {
 				fmt.Fprintln(os.Stderr, "tvpaths: pprof server:", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "tvpaths: serving http://%s/metrics and /debug/pprof\n", *pprofA)
+		fmt.Fprintf(os.Stderr, "tvpaths: serving http://%s/debug/pprof\n", *pprofA)
 	}
 
 	fmt.Println(experiments.FormatTable3(experiments.Table3()))

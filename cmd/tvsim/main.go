@@ -51,7 +51,7 @@ func main() {
 		metricF = flag.Bool("metrics", false, "print the observability metrics summary after each run")
 		stackF  = flag.Bool("cpistack", false, "print the cycle-accounting CPI stack after each run")
 		reportF = flag.String("report", "", "write the run as RunReport JSON (schema "+obs.RunReportSchema+") to this file")
-		pprofA  = flag.String("pprof", "", "serve /metrics, /debug/pprof and /debug/vars on this address while running (e.g. :8080)")
+		pprofA  = flag.String("pprof", "", "serve /metrics and /debug/pprof on this address while running (e.g. :8080)")
 	)
 	flag.Parse()
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -24,18 +25,13 @@ const (
 // Instructions appear as duration slices on their functional-unit lane
 // (select to retire-ready), violations/replays/flushes as instant events on
 // a per-stage row, occupancy samples as a counter track, and retires as
-// instants on a commit row. Fetch/dispatch and TEP events are dropped by
-// default to keep traces compact; flip Keep to include them.
+// instants on a commit row. Fetch/dispatch and TEP events are dropped to
+// keep traces compact.
 //
-// The tracer retains at most Limit events (default 400k) and counts the
-// overflow in Dropped; it is safe for concurrent use.
+// The tracer retains at most 400k events and counts the overflow in
+// Dropped; it is safe for concurrent use.
 type ChromeTracer struct {
-	// Keep selects which event kinds are recorded. NewChromeTracer enables
-	// the occupancy/violation/commit views and disables the very hot
-	// front-end and TEP kinds.
-	Keep [NumKinds]bool
-	// Limit bounds the retained trace events.
-	Limit int
+	limit int // bound on the retained trace events
 
 	mu      sync.Mutex
 	events  []chromeEvent
@@ -54,26 +50,18 @@ type chromeEvent struct {
 	Args map[string]uint64 `json:"args,omitempty"`
 }
 
-// chromeTrace is the top-level JSON object.
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
+// chromeKinds marks the event kinds a ChromeTracer records: the occupancy,
+// violation and commit views, not the very hot front-end and TEP kinds.
+var chromeKinds = [NumKinds]bool{
+	KindIssue: true, KindViolationPredicted: true, KindViolationActual: true,
+	KindReplay: true, KindFlush: true, KindSlotFreeze: true, KindSample: true, KindRetire: true,
 }
 
-// NewChromeTracer builds a tracer with the default view selection.
-func NewChromeTracer() *ChromeTracer {
-	t := &ChromeTracer{Limit: 400000}
-	for _, k := range []Kind{
-		KindIssue, KindViolationPredicted, KindViolationActual,
-		KindReplay, KindFlush, KindSlotFreeze, KindSample, KindRetire,
-	} {
-		t.Keep[k] = true
-	}
-	return t
-}
+// NewChromeTracer builds a tracer.
+func NewChromeTracer() *ChromeTracer { return &ChromeTracer{limit: 400000} }
 
-// Dropped returns how many kept-kind events exceeded Limit and were
-// discarded.
+// Dropped returns how many kept-kind events exceeded the retention bound
+// and were discarded.
 func (t *ChromeTracer) Dropped() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -82,12 +70,12 @@ func (t *ChromeTracer) Dropped() uint64 {
 
 // Event implements Observer.
 func (t *ChromeTracer) Event(e Event) {
-	if !t.Keep[e.Kind] {
+	if !chromeKinds[e.Kind] {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.events) >= t.Limit {
+	if len(t.events) >= t.limit {
 		t.dropped++
 		return
 	}
@@ -153,13 +141,10 @@ func (t *ChromeTracer) WriteTo(w io.Writer) (int64, error) {
 	copy(evs, t.events)
 	t.mu.Unlock()
 
-	cw := &countingWriter{w: w}
 	// Metadata records need string args, which the compact chromeEvent
-	// cannot hold; emit the envelope by hand around the marshalled events.
-	if _, err := io.WriteString(cw, `{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
-		return cw.n, err
-	}
-	meta := []struct {
+	// cannot hold.
+	records := make([]any, 0, 4+len(evs))
+	for _, m := range []struct {
 		pid  int
 		name string
 	}{
@@ -167,41 +152,42 @@ func (t *ChromeTracer) WriteTo(w io.Writer) (int64, error) {
 		{pidViolations, "timing violations (rows = pipe stage)"},
 		{pidCounters, "occupancy counters"},
 		{pidCommit, "commit"},
-	}
-	for i, m := range meta {
-		if i > 0 {
-			if _, err := io.WriteString(cw, ","); err != nil {
-				return cw.n, err
-			}
-		}
-		rec := map[string]interface{}{
+	} {
+		records = append(records, map[string]any{
 			"name": "process_name", "ph": "M", "pid": m.pid, "tid": 0,
 			"args": map[string]string{"name": m.name},
+		})
+	}
+	for i := range evs {
+		records = append(records, &evs[i])
+	}
+	return WriteTraceEvents(w, records)
+}
+
+// WriteTraceEvents writes records, each marshalled with encoding/json, as a
+// Chrome trace-event document ({"displayTimeUnit":"ms","traceEvents":[…]})
+// loadable in chrome://tracing and ui.perfetto.dev. Both the cycle-level
+// ChromeTracer and the request-span exporter (internal/obs/span) write
+// through it.
+func WriteTraceEvents(w io.Writer, records []any) (int64, error) {
+	cw := &countingWriter{w: w}
+	// bw keeps the first write error and returns it from every later write
+	// and from Flush, so only Flush needs checking.
+	bw := bufio.NewWriter(cw)
+	bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
+	for i, r := range records {
+		if i > 0 {
+			bw.WriteByte(',')
 		}
-		b, err := json.Marshal(rec)
+		b, err := json.Marshal(r)
 		if err != nil {
 			return cw.n, err
 		}
-		if _, err := cw.Write(b); err != nil {
-			return cw.n, err
-		}
+		bw.Write(b)
 	}
-	for _, e := range evs {
-		if _, err := io.WriteString(cw, ","); err != nil {
-			return cw.n, err
-		}
-		b, err := json.Marshal(e)
-		if err != nil {
-			return cw.n, err
-		}
-		if _, err := cw.Write(b); err != nil {
-			return cw.n, err
-		}
-	}
-	if _, err := io.WriteString(cw, "]}\n"); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
+	bw.WriteString("]}\n")
+	err := bw.Flush()
+	return cw.n, err
 }
 
 type countingWriter struct {

@@ -408,6 +408,27 @@ func (s *CPIStack) Report() CPIStackReport {
 	return rep
 }
 
+// Families implements Source: observed cycles, committed instructions, the
+// CPI, its stack decomposition by component, and the violation-attributed
+// share. A nil profiler lists none.
+func (s *CPIStack) Families() []Family {
+	if s == nil {
+		return nil
+	}
+	rep := s.Report()
+	stack := make([]Member, len(rep.Components))
+	for i, c := range rep.Components {
+		stack[i] = Member{Labels: fmt.Sprintf("component=%q", c.Name), Value: c.CPI}
+	}
+	return []Family{
+		scalar("cycles_total", "Observed machine cycles.", "counter", rep.Cycles),
+		scalar("instructions_total", "Committed instructions.", "counter", rep.Committed),
+		scalar("cpi", "Cycles per committed instruction.", "gauge", rep.CPI),
+		{"cpi_stack", "CPI stack decomposition by component (components sum to the CPI).", "gauge", stack},
+		scalar("violation_cpi", "Violation-attributed share of the CPI.", "gauge", rep.ViolationCPI),
+	}
+}
+
 // Sum returns the sum of the component CPIs (equals CPI up to float
 // rounding; the acceptance tests pin the bound).
 func (r *CPIStackReport) Sum() float64 {

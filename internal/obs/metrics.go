@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"math/bits"
 	"strings"
@@ -59,17 +58,13 @@ func (h *Hist) String() string {
 	return b.String()
 }
 
-// Sample is one point of the occupancy time series.
-type Sample struct {
-	Cycle uint64 // machine cycle of the sample
-	IQ    uint64 // issue-queue occupancy
-	ROB   uint64 // reorder-buffer occupancy
-}
+// burstGap is the maximum cycle gap between two violations that still
+// counts as the same fault burst.
+const burstGap = 16
 
-// metricsAcc is the lock-free accumulable core of the registry: everything
-// Metrics counts except the decimating time series. Metrics embeds one
-// (guarded by its mutex) and MetricsShard owns a private one, so the two
-// paths share the event-consuming logic exactly.
+// metricsAcc is the lock-free accumulable core of the registry. Metrics
+// embeds one (guarded by its mutex) and MetricsShard owns a private one, so
+// the two paths share the event-consuming logic exactly.
 type metricsAcc struct {
 	counts      [NumKinds]uint64
 	violByStage [isa.NumStages]uint64
@@ -84,7 +79,7 @@ type metricsAcc struct {
 }
 
 // event consumes one event. Callers serialize access.
-func (a *metricsAcc) event(e Event, burstGap uint64) {
+func (a *metricsAcc) event(e Event) {
 	a.counts[e.Kind]++
 	switch e.Kind {
 	case KindViolationPredicted:
@@ -94,10 +89,10 @@ func (a *metricsAcc) event(e Event, burstGap uint64) {
 		} else {
 			a.falsePos++
 		}
-		a.noteViolation(e.Cycle, burstGap)
+		a.noteViolation(e.Cycle)
 	case KindViolationActual:
 		a.violByStage[e.Stage]++
-		a.noteViolation(e.Cycle, burstGap)
+		a.noteViolation(e.Cycle)
 	case KindDelayedBroadcast:
 		a.bcastDelay.Observe(e.A)
 	case KindSample:
@@ -108,7 +103,7 @@ func (a *metricsAcc) event(e Event, burstGap uint64) {
 
 // noteViolation grows the current fault burst or closes it and starts a new
 // one.
-func (a *metricsAcc) noteViolation(cycle, burstGap uint64) {
+func (a *metricsAcc) noteViolation(cycle uint64) {
 	if a.burstLen > 0 && cycle >= a.lastViol && cycle-a.lastViol <= burstGap {
 		a.burstLen++
 	} else {
@@ -118,6 +113,16 @@ func (a *metricsAcc) noteViolation(cycle, burstGap uint64) {
 		a.burstLen = 1
 	}
 	a.lastViol = cycle
+}
+
+// faultBursts returns the fault-burst size histogram, including the burst
+// still open.
+func (a *metricsAcc) faultBursts() Hist {
+	h := a.bursts
+	if a.burstLen > 0 {
+		h.Observe(a.burstLen)
+	}
+	return h
 }
 
 // merge folds o into a. The open burst of o must be closed first.
@@ -146,10 +151,8 @@ func (h *Hist) merge(o *Hist) {
 }
 
 // Metrics is the event-consuming metrics registry: per-kind counters,
-// per-stage violation counts, prediction accuracy, occupancy and delay
-// histograms, fault-burst sizing, and a bounded occupancy time series that
-// decimates itself (doubling its stride) as the run grows, so memory stays
-// O(cap) for arbitrarily long simulations.
+// per-stage violation counts, prediction accuracy, and occupancy, delay and
+// fault-burst histograms.
 //
 // All methods are safe for concurrent use, so one registry can aggregate
 // across the parallel simulations of an experiments suite. When every event
@@ -157,38 +160,23 @@ func (h *Hist) merge(o *Hist) {
 // serializes on it; use Shard to give each pipeline a lock-free accumulator
 // merged at run end instead.
 type Metrics struct {
-	// BurstGap is the maximum cycle gap between two violations that still
-	// counts as the same fault burst (default 16). Set before use.
-	BurstGap uint64
-
 	mu sync.Mutex
 	metricsAcc
-	series    []Sample
-	seriesCap int
-	stride    uint64
-	sampleIdx uint64
 }
 
-// NewMetrics builds an empty registry with a 1024-point time-series budget.
-func NewMetrics() *Metrics {
-	return &Metrics{BurstGap: 16, seriesCap: 1024, stride: 1}
-}
+// NewMetrics builds an empty registry.
+func NewMetrics() *Metrics { return &Metrics{} }
 
 // Event implements Observer.
 func (m *Metrics) Event(e Event) {
 	m.mu.Lock()
-	m.metricsAcc.event(e, m.BurstGap)
-	if e.Kind == KindSample {
-		m.recordSample(Sample{Cycle: e.Cycle, IQ: e.A, ROB: e.B})
-	}
+	m.metricsAcc.event(e)
 	m.mu.Unlock()
 }
 
-// MetricsShard is a per-pipeline accumulator split off a Metrics registry
-// (see Sharder). Event is lock-free except for occupancy samples, which
-// pass through to the parent's decimating time series (one lock per
-// SamplePeriod cycles, not one per event). Not safe for concurrent use;
-// give each pipeline its own shard.
+// MetricsShard is a per-pipeline lock-free accumulator split off a Metrics
+// registry (see Sharder). Not safe for concurrent use; give each pipeline
+// its own shard.
 type MetricsShard struct {
 	parent *Metrics
 	acc    metricsAcc
@@ -201,15 +189,7 @@ func (m *Metrics) Shard() ShardObserver {
 }
 
 // Event implements Observer.
-func (s *MetricsShard) Event(e Event) {
-	s.acc.event(e, s.parent.BurstGap)
-	if e.Kind == KindSample {
-		p := s.parent
-		p.mu.Lock()
-		p.recordSample(Sample{Cycle: e.Cycle, IQ: e.A, ROB: e.B})
-		p.mu.Unlock()
-	}
-}
+func (s *MetricsShard) Event(e Event) { s.acc.event(e) }
 
 // Flush closes the shard's open fault burst, folds everything into the
 // parent registry, and resets the shard for reuse.
@@ -225,22 +205,11 @@ func (s *MetricsShard) Flush() {
 	s.acc = metricsAcc{}
 }
 
-// recordSample appends to the decimating time series. Called with mu held.
-func (m *Metrics) recordSample(s Sample) {
-	if m.sampleIdx%m.stride == 0 {
-		if len(m.series) == m.seriesCap {
-			kept := m.series[:0]
-			for i := 0; i < m.seriesCap; i += 2 {
-				kept = append(kept, m.series[i])
-			}
-			m.series = kept
-			m.stride *= 2
-		}
-		if m.sampleIdx%m.stride == 0 {
-			m.series = append(m.series, s)
-		}
-	}
-	m.sampleIdx++
+// snapshot copies the accumulated state under the lock.
+func (m *Metrics) snapshot() metricsAcc {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.metricsAcc
 }
 
 // Count returns the number of events of the given kind seen so far.
@@ -251,138 +220,83 @@ func (m *Metrics) Count(k Kind) uint64 {
 }
 
 // Counts returns a snapshot of all per-kind event counters.
-func (m *Metrics) Counts() [NumKinds]uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.counts
-}
+func (m *Metrics) Counts() [NumKinds]uint64 { return m.snapshot().counts }
 
 // ViolationsByStage returns per-stage violation counts (predicted handled +
 // unpredicted actual).
-func (m *Metrics) ViolationsByStage() [isa.NumStages]uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.violByStage
-}
+func (m *Metrics) ViolationsByStage() [isa.NumStages]uint64 { return m.snapshot().violByStage }
 
 // Accuracy returns the TEP's handled true positives and false positives.
 func (m *Metrics) Accuracy() (truePos, falsePos uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.truePos, m.falsePos
+	a := m.snapshot()
+	return a.truePos, a.falsePos
 }
 
 // IQOccupancy returns the issue-queue occupancy histogram.
-func (m *Metrics) IQOccupancy() Hist { m.mu.Lock(); defer m.mu.Unlock(); return m.iqOcc }
+func (m *Metrics) IQOccupancy() Hist { return m.snapshot().iqOcc }
 
 // ROBOccupancy returns the reorder-buffer occupancy histogram.
-func (m *Metrics) ROBOccupancy() Hist { m.mu.Lock(); defer m.mu.Unlock(); return m.robOcc }
+func (m *Metrics) ROBOccupancy() Hist { return m.snapshot().robOcc }
 
 // BroadcastDelays returns the delayed-tag-broadcast histogram (cycles).
-func (m *Metrics) BroadcastDelays() Hist { m.mu.Lock(); defer m.mu.Unlock(); return m.bcastDelay }
+func (m *Metrics) BroadcastDelays() Hist { return m.snapshot().bcastDelay }
 
 // FaultBursts returns the fault-burst size histogram, including the burst
 // still open at the time of the call.
 func (m *Metrics) FaultBursts() Hist {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h := m.bursts
-	if m.burstLen > 0 {
-		h.Observe(m.burstLen)
-	}
-	return h
+	a := m.snapshot()
+	return a.faultBursts()
 }
 
-// Series returns a copy of the occupancy time series. Points are evenly
-// strided over the run; the stride doubles whenever the budget fills.
-func (m *Metrics) Series() []Sample {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Sample, len(m.series))
-	copy(out, m.series)
-	return out
+// Families implements Source: event counts by kind, violations by stage,
+// TEP prediction outcomes, and the occupancy, broadcast-delay and
+// fault-burst histograms. A nil registry lists none.
+func (m *Metrics) Families() []Family {
+	if m == nil {
+		return nil
+	}
+	a := m.snapshot()
+	return []Family{
+		{"events_total", "Pipeline events by kind.", "counter", enumMembers[Kind]("kind", a.counts[:])},
+		{"violations_total", "Timing violations (predicted handled + unpredicted) by pipe stage.", "counter",
+			enumMembers[isa.Stage]("stage", a.violByStage[:])},
+		{"tep_predictions_total", "Handled TEP predictions by outcome.", "counter", []Member{
+			{Labels: `outcome="true_positive"`, Value: a.truePos},
+			{Labels: `outcome="false_positive"`, Value: a.falsePos},
+		}},
+		histFamily("iq_occupancy", "Issue-queue occupancy samples.", a.iqOcc),
+		histFamily("rob_occupancy", "Reorder-buffer occupancy samples.", a.robOcc),
+		histFamily("broadcast_delay_cycles", "Delayed tag-broadcast lengths in cycles.", a.bcastDelay),
+		histFamily("fault_burst_length", "Violations per fault burst.", a.faultBursts()),
+	}
 }
 
 // Summary renders a human-readable digest of the registry.
 func (m *Metrics) Summary() string {
-	m.mu.Lock()
-	counts := m.counts
-	viol := m.violByStage
-	tp, fp := m.truePos, m.falsePos
-	iq, rob, bd := m.iqOcc, m.robOcc, m.bcastDelay
-	m.mu.Unlock()
-	bursts := m.FaultBursts()
-
+	a := m.snapshot()
 	var b strings.Builder
 	b.WriteString("observability metrics\n")
 	for k := Kind(0); k < NumKinds; k++ {
-		if counts[k] == 0 {
+		if a.counts[k] == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "  %-20s %12d\n", k, counts[k])
+		fmt.Fprintf(&b, "  %-20s %12d\n", k, a.counts[k])
 	}
 	any := false
 	for s := isa.Stage(0); s < isa.NumStages; s++ {
-		if viol[s] > 0 {
+		if a.violByStage[s] > 0 {
 			if !any {
 				b.WriteString("  violations by stage:\n")
 				any = true
 			}
-			fmt.Fprintf(&b, "    %-10s %12d\n", s, viol[s])
+			fmt.Fprintf(&b, "    %-10s %12d\n", s, a.violByStage[s])
 		}
 	}
-	fmt.Fprintf(&b, "  prediction: %d true positives, %d false positives\n", tp, fp)
-	fmt.Fprintf(&b, "  IQ occupancy:      %s\n", iq.String())
-	fmt.Fprintf(&b, "  ROB occupancy:     %s\n", rob.String())
-	fmt.Fprintf(&b, "  broadcast delays:  %s\n", bd.String())
+	bursts := a.faultBursts()
+	fmt.Fprintf(&b, "  prediction: %d true positives, %d false positives\n", a.truePos, a.falsePos)
+	fmt.Fprintf(&b, "  IQ occupancy:      %s\n", a.iqOcc.String())
+	fmt.Fprintf(&b, "  ROB occupancy:     %s\n", a.robOcc.String())
+	fmt.Fprintf(&b, "  broadcast delays:  %s\n", a.bcastDelay.String())
 	fmt.Fprintf(&b, "  fault bursts:      %s\n", bursts.String())
 	return b.String()
-}
-
-// expvarMu serializes Publish calls; expvar panics on duplicate names, so
-// registration is check-then-publish under this lock.
-var expvarMu sync.Mutex
-
-// Publish exposes the registry under prefix on the process's expvar page
-// (/debug/vars once any HTTP server serves the default mux). Values are
-// computed live at scrape time. Publishing the same prefix twice is a
-// no-op, so re-runs within one process are safe.
-func (m *Metrics) Publish(prefix string) {
-	pub := func(name string, f func() interface{}) {
-		expvarMu.Lock()
-		defer expvarMu.Unlock()
-		if expvar.Get(name) == nil {
-			expvar.Publish(name, expvar.Func(f))
-		}
-	}
-	pub(prefix+".events", func() interface{} {
-		counts := m.Counts()
-		out := make(map[string]uint64, NumKinds)
-		for k := Kind(0); k < NumKinds; k++ {
-			out[k.String()] = counts[k]
-		}
-		return out
-	})
-	pub(prefix+".violations_by_stage", func() interface{} {
-		viol := m.ViolationsByStage()
-		out := make(map[string]uint64)
-		for s := isa.Stage(0); s < isa.NumStages; s++ {
-			if viol[s] > 0 {
-				out[s.String()] = viol[s]
-			}
-		}
-		return out
-	})
-	pub(prefix+".occupancy", func() interface{} {
-		iq, rob := m.IQOccupancy(), m.ROBOccupancy()
-		return map[string]float64{
-			"iq_mean":  iq.Mean(),
-			"rob_mean": rob.Mean(),
-			"samples":  float64(iq.Count),
-		}
-	})
-	pub(prefix+".prediction", func() interface{} {
-		tp, fp := m.Accuracy()
-		return map[string]uint64{"true_positives": tp, "false_positives": fp}
-	})
 }

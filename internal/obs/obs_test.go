@@ -88,23 +88,60 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 }
 
-func TestMetricsSeriesDecimation(t *testing.T) {
-	m := NewMetrics()
-	m.seriesCap = 8
-	for i := uint64(0); i < 1000; i++ {
-		m.Event(Event{Kind: KindSample, Cycle: i * 64, A: i % 32, B: i % 128})
-	}
-	s := m.Series()
-	if len(s) == 0 || len(s) > 8 {
-		t.Fatalf("series length %d exceeds budget", len(s))
-	}
-	for i := 1; i < len(s); i++ {
-		if s[i].Cycle <= s[i-1].Cycle {
-			t.Fatalf("series not increasing at %d: %+v", i, s)
+// TestMetricsShardEquivalence feeds one event stream to a registry
+// directly and, split in two, to two shards of another registry. A fault
+// burst is still open at the split, so the first shard's Flush must close
+// it exactly as the direct registry does when the next violation arrives
+// more than burstGap cycles later. Both registries must render the same
+// bytes.
+func TestMetricsShardEquivalence(t *testing.T) {
+	var evs []Event
+	for i := uint64(1); i <= 400; i++ {
+		evs = append(evs, Event{Kind: KindRetire, Cycle: i})
+		if i%4 == 0 && i%200 < 60 {
+			evs = append(evs, Event{Kind: KindViolationPredicted, Stage: isa.Execute, Cycle: i, A: i % 8 / 4})
+		}
+		if i%25 == 0 {
+			evs = append(evs, Event{Kind: KindViolationActual, Stage: isa.Memory, Cycle: i},
+				Event{Kind: KindSample, Cycle: i, A: i % 32, B: i % 96},
+				Event{Kind: KindDelayedBroadcast, Cycle: i, A: i % 5})
 		}
 	}
-	if s[0].Cycle != 0 {
-		t.Fatalf("first sample lost: %+v", s[0])
+	split := 0
+	for split < len(evs) && evs[split].Cycle <= 100 {
+		split++
+	}
+
+	direct := NewMetrics()
+	for _, e := range evs {
+		direct.Event(e)
+	}
+	sharded := NewMetrics()
+	s1, s2 := sharded.Shard(), sharded.Shard()
+	for _, e := range evs[:split] {
+		s1.Event(e)
+	}
+	if s1.(*MetricsShard).acc.burstLen == 0 {
+		t.Fatal("no fault burst open at the split")
+	}
+	for _, e := range evs[split:] {
+		s2.Event(e)
+	}
+	s1.Flush()
+	s2.Flush()
+
+	render := func(m *Metrics) string {
+		var b strings.Builder
+		if _, err := NewExposition("t", m).WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	if a, b := render(direct), render(sharded); a != b {
+		t.Fatalf("sharded registry renders differently\ndirect:\n%s\nsharded:\n%s", a, b)
+	}
+	if direct.FaultBursts().Count < 3 {
+		t.Fatalf("stream holds %d fault bursts, want several", direct.FaultBursts().Count)
 	}
 }
 
@@ -176,7 +213,7 @@ func TestChromeTracerOutput(t *testing.T) {
 
 func TestChromeTracerLimit(t *testing.T) {
 	tr := NewChromeTracer()
-	tr.Limit = 3
+	tr.limit = 3
 	for i := 0; i < 10; i++ {
 		tr.Event(Event{Kind: KindRetire, Cycle: uint64(i)})
 	}

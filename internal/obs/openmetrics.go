@@ -1,45 +1,57 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
 	"strings"
-
-	"tvsched/internal/isa"
 )
 
-// Exposition renders a Metrics registry and/or a CPIStack profiler in the
-// Prometheus text exposition format (version 0.0.4, the format `promtool
-// check metrics` accepts), so a running tvbench/tvsim/tvpaths can be
-// scraped like any other service. Counters become `_total` series, the
-// log2 Hist buckets become proper cumulative histogram `_bucket`/`_sum`/
-// `_count` series (bucket upper bounds are 0, 1, 3, 7, … 2^i−1 — the
-// largest integer each log2 bucket can hold — then +Inf), and the CPI
-// stack becomes a gauge vector labelled by component.
+// Family is one metric family of the Prometheus text exposition: its name
+// under the exposition's namespace, its HELP text and TYPE, and its
+// members. A family with no members still renders its HELP/TYPE preamble.
+type Family struct {
+	Name, Help, Type string
+	Members          []Member
+}
+
+// Member is one labelled member of a family: a sample Value (a uint64,
+// int64 or float64, rendered as %v renders it), or a histogram when Hist is
+// set. Labels holds `k="v",…` pairs without braces; empty means unlabelled.
+type Member struct {
+	Labels string
+	Value  any
+	Hist   *Hist
+}
+
+// Source is a registry that lists its metric families at scrape time.
+// Metrics, CPIStack, ServeMetrics and span.Tracer implement it.
+type Source interface {
+	Families() []Family
+}
+
+// Exposition renders metric sources in the Prometheus text exposition
+// format (version 0.0.4, the format `promtool check metrics` accepts), so a
+// running tvbench/tvsim/tvservd can be scraped like any other service.
+// Counters become `_total` series, the log2 Hist buckets become proper
+// cumulative histogram `_bucket`/`_sum`/`_count` series (bucket upper
+// bounds are 0, 1, 3, 7, … 2^i−1 — the largest integer each log2 bucket can
+// hold — then +Inf), and labelled vectors such as the CPI stack become one
+// series per label value.
 //
 // Values are read live at scrape time under the registries' locks; with a
 // sharded parallel suite, a scrape sees everything flushed so far.
 type Exposition struct {
 	ns      string
-	metrics *Metrics
-	stack   *CPIStack
-	serve   *ServeMetrics
-	spans   func() []NamedHist
+	sources []Source
 }
 
-// NamedHist is one labelled histogram of a family — the shape span-duration
-// sources hand the exposition (internal/obs/span.Tracer.DurationHists).
-type NamedHist struct {
-	Name string
-	Hist Hist
-}
-
-// NewExposition builds an exposition over the given sources (either may be
-// nil). ns prefixes every metric name; it is sanitized to the Prometheus
+// NewExposition builds an exposition over the given sources, rendered in
+// order. ns prefixes every metric name; it is sanitized to the Prometheus
 // name charset and defaults to "tvsched".
-func NewExposition(ns string, m *Metrics, s *CPIStack) *Exposition {
+func NewExposition(ns string, sources ...Source) *Exposition {
 	if ns == "" {
 		ns = "tvsched"
 	}
@@ -52,25 +64,7 @@ func NewExposition(ns string, m *Metrics, s *CPIStack) *Exposition {
 		}
 		b.WriteRune(r)
 	}
-	return &Exposition{ns: b.String(), metrics: m, stack: s}
-}
-
-// WithServe adds a serving-layer registry (queue depth, in-flight, cache
-// hit/miss outcomes, latency histograms) to the exposition and returns it,
-// so cmd/tvservd can chain the call onto NewExposition. A nil registry is
-// ignored.
-func (e *Exposition) WithServe(s *ServeMetrics) *Exposition {
-	e.serve = s
-	return e
-}
-
-// WithSpans adds request-scoped span-duration histograms to the exposition:
-// source is called at scrape time and each NamedHist renders as a
-// `<ns>_span_duration_us` histogram labelled span="<name>". A nil source is
-// ignored. The flight-recorder tracer's DurationHists method matches.
-func (e *Exposition) WithSpans(source func() []NamedHist) *Exposition {
-	e.spans = source
-	return e
+	return &Exposition{ns: b.String(), sources: sources}
 }
 
 // Handler serves the exposition over HTTP (mount at /metrics).
@@ -81,104 +75,34 @@ func (e *Exposition) Handler() http.Handler {
 	})
 }
 
-// WriteTo renders the exposition text.
+// WriteTo renders every family of every source into one buffer and writes
+// it to w once.
 func (e *Exposition) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	if e.metrics != nil {
-		if err := e.writeMetrics(cw); err != nil {
-			return cw.n, err
+	var b bytes.Buffer
+	for _, src := range e.sources {
+		for _, f := range src.Families() {
+			name := e.ns + "_" + f.Name
+			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, f.Help, name, f.Type)
+			for _, m := range f.Members {
+				switch {
+				case m.Hist != nil:
+					writeHist(&b, name, m.Labels, m.Hist)
+				case m.Labels == "":
+					fmt.Fprintf(&b, "%s %v\n", name, m.Value)
+				default:
+					fmt.Fprintf(&b, "%s{%s} %v\n", name, m.Labels, m.Value)
+				}
+			}
 		}
 	}
-	if e.stack != nil {
-		if err := e.writeStack(cw); err != nil {
-			return cw.n, err
-		}
-	}
-	if e.serve != nil {
-		if err := e.writeServe(cw); err != nil {
-			return cw.n, err
-		}
-	}
-	if e.spans != nil {
-		if err := e.writeSpans(cw); err != nil {
-			return cw.n, err
-		}
-	}
-	return cw.n, nil
+	return b.WriteTo(w)
 }
 
-// head emits the HELP/TYPE preamble of one metric family.
-func head(w io.Writer, name, help, typ string) error {
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	return err
-}
-
-func (e *Exposition) writeMetrics(w io.Writer) error {
-	m := e.metrics
-	name := e.ns + "_events_total"
-	if err := head(w, name, "Pipeline events by kind.", "counter"); err != nil {
-		return err
-	}
-	counts := m.Counts()
-	for k := Kind(0); k < NumKinds; k++ {
-		if _, err := fmt.Fprintf(w, "%s{kind=%q} %d\n", name, k.String(), counts[k]); err != nil {
-			return err
-		}
-	}
-
-	name = e.ns + "_violations_total"
-	if err := head(w, name, "Timing violations (predicted handled + unpredicted) by pipe stage.", "counter"); err != nil {
-		return err
-	}
-	viol := m.ViolationsByStage()
-	for s := isa.Stage(0); s < isa.NumStages; s++ {
-		if _, err := fmt.Fprintf(w, "%s{stage=%q} %d\n", name, s.String(), viol[s]); err != nil {
-			return err
-		}
-	}
-
-	name = e.ns + "_tep_predictions_total"
-	if err := head(w, name, "Handled TEP predictions by outcome.", "counter"); err != nil {
-		return err
-	}
-	tp, fp := m.Accuracy()
-	if _, err := fmt.Fprintf(w, "%s{outcome=\"true_positive\"} %d\n%s{outcome=\"false_positive\"} %d\n",
-		name, tp, name, fp); err != nil {
-		return err
-	}
-
-	hists := []struct {
-		name, help string
-		h          Hist
-	}{
-		{e.ns + "_iq_occupancy", "Issue-queue occupancy samples.", m.IQOccupancy()},
-		{e.ns + "_rob_occupancy", "Reorder-buffer occupancy samples.", m.ROBOccupancy()},
-		{e.ns + "_broadcast_delay_cycles", "Delayed tag-broadcast lengths in cycles.", m.BroadcastDelays()},
-		{e.ns + "_fault_burst_length", "Violations per fault burst.", m.FaultBursts()},
-	}
-	for _, hh := range hists {
-		if err := writeHist(w, hh.name, hh.help, &hh.h); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeHist renders one log2 Hist as a cumulative Prometheus histogram.
-// Bucket i of Hist counts integer values in [2^(i-1), 2^i), so its exact
-// upper bound is 2^i−1; the final open-ended bucket folds into +Inf.
-func writeHist(w io.Writer, name, help string, h *Hist) error {
-	if err := head(w, name, help, "histogram"); err != nil {
-		return err
-	}
-	return writeHistSeries(w, name, "", h)
-}
-
-// writeHistSeries renders the bucket/sum/count series of one histogram,
-// without the family header, merging the extra labels (`k="v",…` form, no
-// braces) into each series — so several labelled histograms can share one
-// family.
-func writeHistSeries(w io.Writer, name, labels string, h *Hist) error {
+// writeHist renders the bucket/sum/count series of one log2 Hist as a
+// cumulative Prometheus histogram, merging the extra labels into each
+// series. Bucket i of Hist counts integer values in [2^(i-1), 2^i), so its
+// exact upper bound is 2^i−1; the final open-ended bucket folds into +Inf.
+func writeHist(b *bytes.Buffer, name, labels string, h *Hist) {
 	sep := ""
 	if labels != "" {
 		sep = ","
@@ -190,260 +114,47 @@ func writeHistSeries(w io.Writer, name, labels string, h *Hist) error {
 		if i > 0 {
 			le = 1<<uint(i) - 1
 		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s%sle=\"%d\"} %d\n", name, labels, sep, le, cum); err != nil {
-			return err
-		}
+		fmt.Fprintf(b, "%s_bucket{%s%sle=\"%d\"} %d\n", name, labels, sep, le, cum)
 	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, h.Count); err != nil {
-		return err
-	}
+	fmt.Fprintf(b, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, h.Count)
 	if labels != "" {
 		labels = "{" + labels + "}"
 	}
-	_, err := fmt.Fprintf(w, "%s_sum%s %d\n%s_count%s %d\n",
-		name, labels, h.Sum, name, labels, h.Count)
-	return err
+	fmt.Fprintf(b, "%s_sum%s %d\n%s_count%s %d\n", name, labels, h.Sum, name, labels, h.Count)
 }
 
-func (e *Exposition) writeServe(w io.Writer) error {
-	snap := e.serve.Snapshot()
-
-	name := e.ns + "_serve_requests_total"
-	if err := head(w, name, "Serving-layer requests by outcome (hit/shared/miss/rejected/bad_request/error).", "counter"); err != nil {
-		return err
-	}
-	for o := ServeOutcome(0); o < NumServeOutcomes; o++ {
-		if _, err := fmt.Fprintf(w, "%s{result=%q} %d\n", name, o.String(), snap.Outcomes[o]); err != nil {
-			return err
-		}
-	}
-
-	gauges := []struct {
-		name, help string
-		v          int64
-	}{
-		{e.ns + "_serve_queue_depth", "Admitted simulations waiting for a worker.", snap.QueueDepth},
-		{e.ns + "_serve_in_flight", "Simulations executing right now.", snap.InFlight},
-	}
-	for _, g := range gauges {
-		if err := head(w, g.name, g.help, "gauge"); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s %d\n", g.name, g.v); err != nil {
-			return err
-		}
-	}
-
-	// Request latency is one family split route × cache outcome; only
-	// populated cells are rendered so an idle server stays compact.
-	name = e.ns + "_serve_request_latency_us"
-	if err := head(w, name, "Whole-request latency in microseconds by route and cache outcome.", "histogram"); err != nil {
-		return err
-	}
-	for r := ServeRoute(0); r < NumServeRoutes; r++ {
-		for o := ServeOutcome(0); o < NumServeOutcomes; o++ {
-			h := &snap.ReqLatency[r][o]
-			if h.Count == 0 {
-				continue
-			}
-			labels := fmt.Sprintf("route=%q,result=%q", r.String(), o.String())
-			if err := writeHistSeries(w, name, labels, h); err != nil {
-				return err
-			}
-		}
-	}
-
-	if err := writeHist(w, e.ns+"_serve_run_latency_us",
-		"Underlying simulation latency in microseconds (cache misses only).", &snap.RunLatency); err != nil {
-		return err
-	}
-
-	// Cluster peer operations, one family labelled peer × op. Rendered only
-	// when any peer has been touched, so a solo node stays compact.
-	if len(snap.PeerOps) > 0 {
-		name = e.ns + "_serve_peer_ops_total"
-		if err := head(w, name, "Cluster peer operations (fetch_hit/fetch_miss/forward/forward_error/check_ok/diverged/retry/breaker_denied/degraded/replicated/repaired) by peer.", "counter"); err != nil {
-			return err
-		}
-		peers := make([]string, 0, len(snap.PeerOps))
-		for p := range snap.PeerOps {
-			peers = append(peers, p)
-		}
-		sort.Strings(peers)
-		for _, p := range peers {
-			ops := snap.PeerOps[p]
-			for o := PeerOp(0); o < NumPeerOps; o++ {
-				if _, err := fmt.Fprintf(w, "%s{peer=%q,op=%q} %d\n", name, p, o.String(), ops[o]); err != nil {
-					return err
-				}
-			}
-		}
-	}
-
-	// Circuit-breaker telemetry, rendered only once a breaker has moved.
-	if len(snap.BreakerTransitions) > 0 {
-		name = e.ns + "_serve_breaker_transitions_total"
-		if err := head(w, name, "Circuit-breaker state entries (closed/open/half_open) by peer.", "counter"); err != nil {
-			return err
-		}
-		peers := make([]string, 0, len(snap.BreakerTransitions))
-		for p := range snap.BreakerTransitions {
-			peers = append(peers, p)
-		}
-		sort.Strings(peers)
-		for _, p := range peers {
-			states := make([]string, 0, len(snap.BreakerTransitions[p]))
-			for st := range snap.BreakerTransitions[p] {
-				states = append(states, st)
-			}
-			sort.Strings(states)
-			for _, st := range states {
-				if _, err := fmt.Fprintf(w, "%s{peer=%q,to=%q} %d\n", name, p, st, snap.BreakerTransitions[p][st]); err != nil {
-					return err
-				}
-			}
-		}
-		name = e.ns + "_serve_breaker_state"
-		if err := head(w, name, "Current circuit-breaker state per peer (1 = the labelled state).", "gauge"); err != nil {
-			return err
-		}
-		for _, p := range peers {
-			if st, ok := snap.BreakerStates[p]; ok {
-				if _, err := fmt.Fprintf(w, "%s{peer=%q,state=%q} 1\n", name, p, st); err != nil {
-					return err
-				}
-			}
-		}
-	}
-
-	// Campaign lifecycle counters, per-class cell counters, and the active
-	// gauge, rendered only once a campaign has been admitted.
-	var campaignTouched uint64
-	for _, c := range snap.CampaignEvents {
-		campaignTouched += c
-	}
-	if campaignTouched > 0 {
-		name = e.ns + "_serve_campaigns_total"
-		if err := head(w, name, "Campaign lifecycle events (started/resumed/completed/suspended/failed).", "counter"); err != nil {
-			return err
-		}
-		for ev := CampaignEvent(0); ev < NumCampaignEvents; ev++ {
-			if _, err := fmt.Fprintf(w, "%s{event=%q} %d\n", name, ev.String(), snap.CampaignEvents[ev]); err != nil {
-				return err
-			}
-		}
-		if len(snap.CampaignCells) > 0 {
-			name = e.ns + "_serve_campaign_cells_total"
-			if err := head(w, name, "Campaign cells executed, by provenance class (hit/shared/restored/cold/stolen/error).", "counter"); err != nil {
-				return err
-			}
-			classes := make([]string, 0, len(snap.CampaignCells))
-			for c := range snap.CampaignCells {
-				classes = append(classes, c)
-			}
-			sort.Strings(classes)
-			for _, c := range classes {
-				if _, err := fmt.Fprintf(w, "%s{class=%q} %d\n", name, c, snap.CampaignCells[c]); err != nil {
-					return err
-				}
-			}
-		}
-		name = e.ns + "_serve_campaigns_active"
-		if err := head(w, name, "Campaigns executing right now.", "gauge"); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s %d\n", name, snap.CampaignsActive); err != nil {
-			return err
-		}
-	}
-
-	// Persistent-store counters and gauges, rendered only once the store
-	// has been touched.
-	var storeTouched uint64
-	for _, c := range snap.StoreOps {
-		storeTouched += c
-	}
-	if storeTouched > 0 || snap.StoreEntries > 0 {
-		name = e.ns + "_serve_store_ops_total"
-		if err := head(w, name, "Persistent result-store accesses (hit/miss/put).", "counter"); err != nil {
-			return err
-		}
-		for o := StoreOp(0); o < NumStoreOps; o++ {
-			if _, err := fmt.Fprintf(w, "%s{op=%q} %d\n", name, o.String(), snap.StoreOps[o]); err != nil {
-				return err
-			}
-		}
-		gauges := []struct {
-			name, help string
-			v          int64
-		}{
-			{e.ns + "_serve_store_entries", "Live entries in the persistent result store.", snap.StoreEntries},
-			{e.ns + "_serve_store_bytes", "Live bytes in the persistent result store (record overhead included).", snap.StoreBytes},
-		}
-		for _, g := range gauges {
-			if err := head(w, g.name, g.help, "gauge"); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s %d\n", g.name, g.v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+// scalar is a family of one unlabelled value.
+func scalar(name, help, typ string, v any) Family {
+	return Family{name, help, typ, []Member{{Value: v}}}
 }
 
-// writeSpans renders the span-duration histograms as one family labelled by
-// span name.
-func (e *Exposition) writeSpans(w io.Writer) error {
-	name := e.ns + "_span_duration_us"
-	if err := head(w, name, "Request-scoped span durations in microseconds by span name.", "histogram"); err != nil {
-		return err
-	}
-	for _, nh := range e.spans() {
-		if err := writeHistSeries(w, name, fmt.Sprintf("span=%q", nh.Name), &nh.Hist); err != nil {
-			return err
-		}
-	}
-	return nil
+// histFamily is a family of one unlabelled histogram.
+func histFamily(name, help string, h Hist) Family {
+	return Family{name, help, "histogram", []Member{{Hist: &h}}}
 }
 
-func (e *Exposition) writeStack(w io.Writer) error {
-	rep := e.stack.Report()
+// enum is an enumeration whose values name themselves.
+type enum interface {
+	~int | ~uint8
+	String() string
+}
 
-	name := e.ns + "_cycles_total"
-	if err := head(w, name, "Observed machine cycles.", "counter"); err != nil {
-		return err
+// enumMembers lists one member per value of an enumeration E: values[i]
+// labelled key="E(i)".
+func enumMembers[E enum, V any](key string, values []V) []Member {
+	out := make([]Member, len(values))
+	for i, v := range values {
+		out[i] = Member{Labels: fmt.Sprintf("%s=%q", key, E(i).String()), Value: v}
 	}
-	if _, err := fmt.Fprintf(w, "%s %d\n", name, rep.Cycles); err != nil {
-		return err
+	return out
+}
+
+// sortedKeys returns the keys of m in increasing order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	name = e.ns + "_instructions_total"
-	if err := head(w, name, "Committed instructions.", "counter"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s %d\n", name, rep.Committed); err != nil {
-		return err
-	}
-	name = e.ns + "_cpi"
-	if err := head(w, name, "Cycles per committed instruction.", "gauge"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s %g\n", name, rep.CPI); err != nil {
-		return err
-	}
-	name = e.ns + "_cpi_stack"
-	if err := head(w, name, "CPI stack decomposition by component (components sum to the CPI).", "gauge"); err != nil {
-		return err
-	}
-	for _, c := range rep.Components {
-		if _, err := fmt.Fprintf(w, "%s{component=%q} %g\n", name, c.Name, c.CPI); err != nil {
-			return err
-		}
-	}
-	name = e.ns + "_violation_cpi"
-	if err := head(w, name, "Violation-attributed share of the CPI.", "gauge"); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s %g\n", name, rep.ViolationCPI)
-	return err
+	sort.Strings(keys)
+	return keys
 }

@@ -153,14 +153,14 @@ func TestExpositionHandler(t *testing.T) {
 }
 
 func TestExpositionNamespaceSanitized(t *testing.T) {
-	e := NewExposition("9bad-ns.x", nil, nil)
+	e := NewExposition("9bad-ns.x")
 	if e.ns != "_bad_ns_x" {
 		t.Fatalf("sanitized ns = %q", e.ns)
 	}
-	if NewExposition("", nil, nil).ns != "tvsched" {
+	if NewExposition("").ns != "tvsched" {
 		t.Fatal("empty ns did not default")
 	}
-	// nil sources: still a valid (empty) exposition.
+	// no sources: still a valid (empty) exposition.
 	var b strings.Builder
 	if _, err := e.WriteTo(&b); err != nil || b.Len() != 0 {
 		t.Fatalf("empty exposition: %q, %v", b.String(), err)

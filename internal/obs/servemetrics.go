@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"sync"
 )
 
@@ -162,9 +163,7 @@ func (o StoreOp) String() string {
 // histograms in microseconds for whole requests and for the underlying
 // simulations, plus — when the node is clustered — per-peer operation
 // counters and persistent-store counters/gauges. It is safe for concurrent
-// use and renders in the Prometheus text format through
-// Exposition.WithServe, alongside whatever pipeline Metrics/CPIStack the
-// same exposition carries.
+// use and renders in the Prometheus text format as an exposition Source.
 type ServeMetrics struct {
 	mu         sync.Mutex
 	outcomes   [NumServeOutcomes]uint64
@@ -345,23 +344,6 @@ type ServeSnapshot struct {
 	CampaignsActive int64
 }
 
-// ReqLatencyTotal folds the route × outcome latency matrix into one
-// histogram (the pre-split aggregate view).
-func (s *ServeSnapshot) ReqLatencyTotal() Hist {
-	var total Hist
-	for r := range s.ReqLatency {
-		for o := range s.ReqLatency[r] {
-			h := &s.ReqLatency[r][o]
-			total.Count += h.Count
-			total.Sum += h.Sum
-			for b := range h.Buckets {
-				total.Buckets[b] += h.Buckets[b]
-			}
-		}
-	}
-	return total
-}
-
 // Snapshot copies the registry under its lock.
 func (s *ServeMetrics) Snapshot() ServeSnapshot {
 	s.mu.Lock()
@@ -405,4 +387,84 @@ func (s *ServeMetrics) Snapshot() ServeSnapshot {
 		}
 	}
 	return snap
+}
+
+// Families implements Source. The cluster, breaker, campaign and store
+// families are listed only once touched, and request latency only for the
+// route × outcome cells that hold samples, so a solo idle node stays
+// compact.
+func (s *ServeMetrics) Families() []Family {
+	snap := s.Snapshot()
+	var lat []Member
+	for r := ServeRoute(0); r < NumServeRoutes; r++ {
+		for o := ServeOutcome(0); o < NumServeOutcomes; o++ {
+			if h := &snap.ReqLatency[r][o]; h.Count > 0 {
+				lat = append(lat, Member{Labels: fmt.Sprintf("route=%q,result=%q", r, o), Hist: h})
+			}
+		}
+	}
+	fams := []Family{
+		{"serve_requests_total", "Serving-layer requests by outcome (hit/shared/miss/rejected/bad_request/error).",
+			"counter", enumMembers[ServeOutcome]("result", snap.Outcomes[:])},
+		scalar("serve_queue_depth", "Admitted simulations waiting for a worker.", "gauge", snap.QueueDepth),
+		scalar("serve_in_flight", "Simulations executing right now.", "gauge", snap.InFlight),
+		{"serve_request_latency_us", "Whole-request latency in microseconds by route and cache outcome.",
+			"histogram", lat},
+		histFamily("serve_run_latency_us", "Underlying simulation latency in microseconds (cache misses only).",
+			snap.RunLatency),
+	}
+
+	if len(snap.PeerOps) > 0 {
+		var ops []Member
+		for _, p := range sortedKeys(snap.PeerOps) {
+			for o, n := range snap.PeerOps[p] {
+				ops = append(ops, Member{Labels: fmt.Sprintf("peer=%q,op=%q", p, PeerOp(o)), Value: n})
+			}
+		}
+		fams = append(fams, Family{"serve_peer_ops_total", "Cluster peer operations (fetch_hit/fetch_miss/forward/" +
+			"forward_error/check_ok/diverged/retry/breaker_denied/degraded/replicated/repaired) by peer.", "counter", ops})
+	}
+
+	if len(snap.BreakerTransitions) > 0 {
+		var trans, states []Member
+		for _, p := range sortedKeys(snap.BreakerTransitions) {
+			for _, to := range sortedKeys(snap.BreakerTransitions[p]) {
+				trans = append(trans, Member{Labels: fmt.Sprintf("peer=%q,to=%q", p, to),
+					Value: snap.BreakerTransitions[p][to]})
+			}
+			if st, ok := snap.BreakerStates[p]; ok {
+				states = append(states, Member{Labels: fmt.Sprintf("peer=%q,state=%q", p, st), Value: 1})
+			}
+		}
+		fams = append(fams,
+			Family{"serve_breaker_transitions_total", "Circuit-breaker state entries (closed/open/half_open) by peer.",
+				"counter", trans},
+			Family{"serve_breaker_state", "Current circuit-breaker state per peer (1 = the labelled state).",
+				"gauge", states})
+	}
+
+	if snap.CampaignEvents != ([NumCampaignEvents]uint64{}) {
+		fams = append(fams, Family{"serve_campaigns_total",
+			"Campaign lifecycle events (started/resumed/completed/suspended/failed).",
+			"counter", enumMembers[CampaignEvent]("event", snap.CampaignEvents[:])})
+		if len(snap.CampaignCells) > 0 {
+			var cells []Member
+			for _, c := range sortedKeys(snap.CampaignCells) {
+				cells = append(cells, Member{Labels: fmt.Sprintf("class=%q", c), Value: snap.CampaignCells[c]})
+			}
+			fams = append(fams, Family{"serve_campaign_cells_total",
+				"Campaign cells executed, by provenance class (hit/shared/restored/cold/stolen/error).", "counter", cells})
+		}
+		fams = append(fams, scalar("serve_campaigns_active", "Campaigns executing right now.", "gauge", snap.CampaignsActive))
+	}
+
+	if snap.StoreOps != ([NumStoreOps]uint64{}) || snap.StoreEntries > 0 {
+		fams = append(fams,
+			Family{"serve_store_ops_total", "Persistent result-store accesses (hit/miss/put).",
+				"counter", enumMembers[StoreOp]("op", snap.StoreOps[:])},
+			scalar("serve_store_entries", "Live entries in the persistent result store.", "gauge", snap.StoreEntries),
+			scalar("serve_store_bytes", "Live bytes in the persistent result store (record overhead included).",
+				"gauge", snap.StoreBytes))
+	}
+	return fams
 }

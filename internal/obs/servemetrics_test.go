@@ -42,7 +42,7 @@ func populatedServeMetrics() *ServeMetrics {
 // promises (queue depth, in-flight, outcome counters, latency histograms).
 func TestServeExpositionFormat(t *testing.T) {
 	var b strings.Builder
-	e := NewExposition("tvservd", nil, nil).WithServe(populatedServeMetrics())
+	e := NewExposition("tvservd", populatedServeMetrics())
 	if _, err := e.WriteTo(&b); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,13 @@ func TestServeMetricsConcurrency(t *testing.T) {
 	if total != 8000 {
 		t.Fatalf("outcome total %d, want 8000", total)
 	}
-	if req := snap.ReqLatencyTotal(); req.Count != 8000 || snap.RunLatency.Count != 8000 {
-		t.Fatalf("latency counts %d/%d, want 8000", req.Count, snap.RunLatency.Count)
+	var reqs uint64
+	for r := range snap.ReqLatency {
+		for o := range snap.ReqLatency[r] {
+			reqs += snap.ReqLatency[r][o].Count
+		}
+	}
+	if reqs != 8000 || snap.RunLatency.Count != 8000 {
+		t.Fatalf("latency counts %d/%d, want 8000", reqs, snap.RunLatency.Count)
 	}
 }

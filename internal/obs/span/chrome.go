@@ -2,9 +2,10 @@ package span
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"time"
+
+	"tvsched/internal/obs"
 )
 
 // ctxKey carries an *ActiveSpan through a context.Context, so layers that
@@ -45,16 +46,13 @@ type chromeSpanEvent struct {
 // parent/child structure as a flame graph without explicit stack tracking.
 // Parent/child identity additionally travels in the args (span/parent IDs).
 func WriteChromeTrace(w io.Writer, spans []Span) (int64, error) {
-	cw := &countingWriter{w: w}
-	if _, err := io.WriteString(cw, `{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
-		return cw.n, err
-	}
 	var epoch time.Time
 	for i := range spans {
 		if i == 0 || spans[i].Start.Before(epoch) {
 			epoch = spans[i].Start
 		}
 	}
+	records := make([]any, len(spans))
 	for i := range spans {
 		sp := &spans[i]
 		args := map[string]string{
@@ -71,37 +69,11 @@ func WriteChromeTrace(w io.Writer, spans []Span) (int64, error) {
 		if dur < 1 {
 			dur = 1 // zero-width slices are invisible in the viewers
 		}
-		ev := chromeSpanEvent{
+		records[i] = &chromeSpanEvent{
 			Name: sp.Name, Ph: "X",
 			Ts:  sp.Start.Sub(epoch).Microseconds(),
 			Dur: dur, Pid: 1, Tid: 1, Args: args,
 		}
-		if i > 0 {
-			if _, err := io.WriteString(cw, ","); err != nil {
-				return cw.n, err
-			}
-		}
-		b, err := json.Marshal(&ev)
-		if err != nil {
-			return cw.n, err
-		}
-		if _, err := cw.Write(b); err != nil {
-			return cw.n, err
-		}
 	}
-	if _, err := io.WriteString(cw, "]}\n"); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+	return obs.WriteTraceEvents(w, records)
 }

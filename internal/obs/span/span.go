@@ -20,6 +20,7 @@
 package span
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -283,19 +284,25 @@ func (t *Tracer) Stats() (retained, capacity int, evicted uint64) {
 	return t.n, cap(t.ring), t.total - uint64(t.n)
 }
 
-// DurationHists snapshots the per-name span-duration histograms
-// (microseconds), sorted by name — the shape obs.Exposition.WithSpans
-// renders into /metrics.
-func (t *Tracer) DurationHists() []obs.NamedHist {
+// Families implements obs.Source: the per-name span-duration histograms
+// (microseconds) as one family labelled by span name, sorted by name. A nil
+// tracer lists none.
+func (t *Tracer) Families() []obs.Family {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]obs.NamedHist, 0, len(t.hists))
-	for name, h := range t.hists {
-		out = append(out, obs.NamedHist{Name: name, Hist: *h})
+	names := make([]string, 0, len(t.hists))
+	for name := range t.hists {
+		names = append(names, name)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	sort.Strings(names)
+	members := make([]obs.Member, len(names))
+	for i, name := range names {
+		h := *t.hists[name]
+		members[i] = obs.Member{Labels: fmt.Sprintf("span=%q", name), Hist: &h}
+	}
+	return []obs.Family{{Name: "span_duration_us", Type: "histogram", Members: members,
+		Help: "Request-scoped span durations in microseconds by span name."}}
 }

@@ -345,3 +345,48 @@ func TestErrorPathsLogExactlyOnce(t *testing.T) {
 		t.Fatalf("logged digest %q != response header %q", digest, got)
 	}
 }
+
+// TestServedCountersIgnoreCheckpointing serves the same four-cell sweep on
+// two fresh servers, one with warm-state checkpointing off and one with it
+// on. The checkpoint is a pure optimization of how a cell is computed, so
+// every counter series on /metrics must read the same on both.
+func TestServedCountersIgnoreCheckpointing(t *testing.T) {
+	totals := func(checkpoint bool) string {
+		_, ts := newTestServer(t, Config{Workers: 1})
+		postSweep(t, ts.URL, SweepRequest{
+			Benchmarks:   []string{"bzip2"},
+			Schemes:      []string{"ABS", "FFS"},
+			VDDs:         []float64{0.97, 1.04},
+			Seeds:        []uint64{1},
+			Instructions: 4000,
+			Warmup:       20000,
+			Checkpoint:   &checkpoint,
+		})
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out strings.Builder
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			line := sc.Text()
+			name, _, _ := strings.Cut(line, " ")
+			name, _, _ = strings.Cut(name, "{")
+			if strings.HasSuffix(name, "_total") {
+				out.WriteString(line + "\n")
+			}
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	cold, warm := totals(false), totals(true)
+	if cold == "" {
+		t.Fatal("no counter series on /metrics")
+	}
+	if cold != warm {
+		t.Fatalf("counters depend on checkpointing\ncold:\n%s\ncheckpointed:\n%s", cold, warm)
+	}
+}

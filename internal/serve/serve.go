@@ -272,7 +272,6 @@ func (c *Config) fill() {
 type Server struct {
 	cfg        Config
 	sm         *obs.ServeMetrics
-	pipeM      *obs.Metrics
 	log        *slog.Logger
 	tracer     *span.Tracer
 	baseCtx    context.Context
@@ -325,7 +324,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		sm:         obs.NewServeMetrics(),
-		pipeM:      obs.NewMetrics(),
 		log:        cfg.Logger,
 		tracer:     span.NewTracer(cfg.TraceSpans),
 		baseCtx:    ctx,
@@ -360,8 +358,7 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("/v1/trace/", s.handleTrace)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.Handle("/metrics", obs.NewExposition(cfg.Namespace, s.pipeM, nil).
-		WithServe(s.sm).WithSpans(s.tracer.DurationHists).Handler())
+	mux.Handle("/metrics", obs.NewExposition(cfg.Namespace, s.sm, s.tracer).Handler())
 	s.mux = mux
 	return s
 }
@@ -376,16 +373,12 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Metrics() *obs.ServeMetrics { return s.sm }
 
 // defaultRunner executes the simulation for real through resolve.Simulate,
-// feeding the server's pipeline-metrics registry through a private per-run
-// shard so the hot event path never contends across workers. With
-// checkpoint set it restores the shared warm-state snapshot for the cell's
-// WarmKey (producing and caching it on first use) instead of re-simulating
-// the warmup phase; the neutral-warmup property makes the two paths
-// byte-identical (see Runner).
+// with no pipeline observer: each response carries the run's own counters.
+// With checkpoint set it restores the shared warm-state snapshot for the
+// cell's WarmKey (producing and caching it on first use) instead of
+// re-simulating the warmup phase; the neutral-warmup property makes the two
+// paths byte-identical (see Runner).
 func (s *Server) defaultRunner(ctx context.Context, cfg tvsched.Config, checkpoint bool) (tvsched.Result, resolve.Source, error) {
-	sh := s.pipeM.Shard()
-	cfg.Observer = sh
-	defer sh.Flush()
 	// The simulate span (if this computation is traced) receives one child
 	// per session lifecycle phase, named for the timeline reader: the
 	// "restore" phase is a snapshot restore, "run" is the measured phase.

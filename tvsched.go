@@ -134,8 +134,8 @@ type (
 	// EventKind discriminates Event payloads.
 	EventKind = obs.Kind
 	// Metrics is a thread-safe aggregating observer: counters, per-stage
-	// violation counts, occupancy/burst histograms and a decimating
-	// occupancy time series, publishable via expvar.
+	// violation counts and occupancy/burst histograms, rendered in the
+	// Prometheus text format by an Exposition.
 	Metrics = obs.Metrics
 	// ChromeTracer is an observer that records Chrome trace-event JSON
 	// loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
@@ -201,8 +201,8 @@ const NeverIssued = obs.NeverIssued
 // NewMetrics builds an empty Metrics observer.
 func NewMetrics() *Metrics { return obs.NewMetrics() }
 
-// NewChromeTracer builds a ChromeTracer with the default event filter
-// (issue/violation/replay/flush/freeze/sample/retire) and record cap.
+// NewChromeTracer builds a ChromeTracer. It records the issue, violation,
+// replay, flush, freeze, sample and retire events, up to 400k of them.
 func NewChromeTracer() *ChromeTracer { return obs.NewChromeTracer() }
 
 // NewCPIStack builds a cycle-accounting profiler; zero config fields take
