@@ -533,6 +533,35 @@ func BenchmarkCycleLoop(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed())/float64(st.Cycles), "ns/cycle")
 }
 
+// BenchmarkDonor times one warm group's donor: NewSession, a 20k-instruction
+// WarmupNeutral and Snapshot on mcf, whose program image is cached before
+// the timer starts, as a sweep's or a served miss's donor finds it. Its B/op
+// is what TestDonorAllocBytes bounds; snapshot-KB is the snapshot's length.
+func BenchmarkDonor(b *testing.B) {
+	ctx := context.Background()
+	cfg := tvsched.Config{Benchmark: "mcf", Scheme: tvsched.ABS, VDD: tvsched.VHighFault,
+		Instructions: 8000, Warmup: 20000, Seed: 1}
+	if _, err := tvsched.NewSession(cfg); err != nil { // caches the image
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var snap *tvsched.Snapshot
+	for i := 0; i < b.N; i++ {
+		donor, err := tvsched.NewSession(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := donor.WarmupNeutral(ctx); err != nil {
+			b.Fatal(err)
+		}
+		if snap, err = donor.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(snap.Data))/1024, "snapshot-KB")
+}
+
 // productionPipeline builds a 0.97 V pipeline over bench at seed 1 the way
 // sessions do: a generator over the shared program image, and a fault model
 // whose per-PC tail masks are tabulated over that program's code, so fetch

@@ -440,6 +440,9 @@ func snapshotRoundTrip(spec caseSpec) error {
 	if err != nil {
 		return fmt.Errorf("snapshot round-trip: snapshot: %w", err)
 	}
+	if len(blob) != cap(blob) {
+		return fmt.Errorf("snapshot round-trip: %d snapshot bytes in a buffer of %d: a component's StateLen is off", len(blob), cap(blob))
+	}
 	stDonor, err := donor.Run(spec.insts)
 	if err != nil {
 		return fmt.Errorf("snapshot round-trip: donor run: %w", err)

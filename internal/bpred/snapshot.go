@@ -38,6 +38,17 @@ func (p *Predictor) AppendState(w *snap.Writer) {
 	w.I64(int64(p.rasTop))
 }
 
+// StateLen returns the length of the bytes AppendState writes.
+func (p *Predictor) StateLen() int {
+	n := 4 + len(p.pht) + 8 + 4 + 4 + 4 + 8*len(p.ras) + 8
+	for i := range p.btb {
+		if p.btb[i].valid {
+			n += 4 + 8 + 8
+		}
+	}
+	return n
+}
+
 // ReadState restores state written by AppendState into a predictor of
 // identical geometry; mismatched table sizes are rejected. Statistics are
 // zeroed.
@@ -80,6 +91,9 @@ func (p *Predictor) ReadState(r *snap.Reader) error {
 // AppendState serializes the oracle's RNG stream position (the rate is
 // configuration, rebuilt by the restoring side).
 func (o *OracleNoise) AppendState(w *snap.Writer) { o.src.AppendState(w) }
+
+// StateLen returns the length of the bytes AppendState writes.
+func (o *OracleNoise) StateLen() int { return o.src.StateLen() }
 
 // ReadState restores the oracle's RNG stream position.
 func (o *OracleNoise) ReadState(r *snap.Reader) error { return o.src.ReadState(r) }

@@ -16,6 +16,9 @@ func (f *FUSR) AppendState(w *snap.Writer) {
 	}
 }
 
+// StateLen returns the length of the bytes AppendState writes.
+func (f *FUSR) StateLen() int { return 4 + len(f.lanes)*(1+8) }
+
 // ReadState restores lane reservations written by AppendState; a mismatched
 // lane count or kind layout is rejected.
 func (f *FUSR) ReadState(r *snap.Reader) error {

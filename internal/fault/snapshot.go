@@ -31,6 +31,9 @@ func (e *Env) AppendState(w *snap.Writer) error {
 	return nil
 }
 
+// StateLen returns the length of the bytes AppendState writes.
+func (e *Env) StateLen() int { return 5*8 + e.src.StateLen() }
+
 // ReadState restores state written by AppendState. The receiver's hazard
 // must be nil (mirroring the writer-side refusal); the perturbation resets
 // to neutral and the voltage-derived scale is recomputed from the restored

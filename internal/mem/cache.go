@@ -66,9 +66,10 @@ type line struct {
 }
 
 // Cache is a set-associative cache with true-LRU replacement. It holds a
-// set only once something touches it. A fresh cache builds every set on its
-// first access; a restored one decodes each set from the snapshot bytes the
-// first time it is reached (see ReadState).
+// set only once something touches it, and builds each set the first time it
+// is reached: empty in a fresh cache, from the prefill rule in a prefilled
+// one (see Hierarchy.Prefill), and from the snapshot bytes in a restored one
+// (see ReadState).
 type Cache struct {
 	cfg       CacheConfig
 	setMask   uint64
@@ -93,6 +94,12 @@ type Cache struct {
 	// src holds the set records of a restored cache, and is nil otherwise.
 	// It aliases the snapshot bytes.
 	src []byte
+
+	// pfLine0 and pfLines are the prefill rule of a cache whose prefill ran
+	// no loop: the pfLines lines from line address pfLine0, which an empty
+	// cache holds without an eviction (see prefillRule). pfLines is 0 when
+	// there is no rule.
+	pfLine0, pfLines uint64
 }
 
 // builtBit marks an at entry that locates a built set.
@@ -111,7 +118,7 @@ const lineBytes = int(unsafe.Sizeof(line{}))
 
 // NewCache builds a cache from cfg. It panics on invalid configuration —
 // configurations are program constants, not runtime input. It allocates no
-// set storage: the first access does.
+// set storage: a set is built when something first reaches it.
 func NewCache(cfg CacheConfig) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -147,22 +154,51 @@ func (c *Cache) builtAt(a uint32) []line {
 	return c.blocks[a>>16&0x7fff][off : off+c.cfg.Ways]
 }
 
-// materialize builds set i. A restored cache decodes that one set from its
-// snapshot record. Any other cache builds every set still missing, in index
-// order, so a fresh cache lays out exactly as if it were built whole.
+// materialize builds set i, which is not built yet.
 func (c *Cache) materialize(i uint64) []line {
-	if c.src == nil {
-		for j := range c.at {
-			if c.at[j]&builtBit == 0 {
-				c.build(j)
-			}
-		}
-		return c.set(i)
-	}
-	rec := c.at[i]
+	a := c.at[i]
 	s := c.build(int(i))
-	c.decode(s, rec)
+	c.unbuilt(s, i, a)
 	return s
+}
+
+// unbuilt writes into set the lines of set i, which is not built yet and
+// whose at entry is a: the set its snapshot record decodes to in a restored
+// cache, its lines of the prefill rule in a prefilled one, and none
+// otherwise.
+func (c *Cache) unbuilt(set []line, i uint64, a uint32) {
+	clear(set)
+	switch {
+	case c.src != nil:
+		c.decode(set, a)
+	case c.pfLines != 0:
+		// Line k of the region sits in set (pfLine0+k)&setMask, so the
+		// lines of set i are k0, k0+numSets, ... below pfLines, filling its
+		// ways in order.
+		numSets := c.setMask + 1
+		for k, w := (i-c.pfLine0)&c.setMask, 0; k < c.pfLines; k, w = k+numSets, w+1 {
+			set[w] = line{tag: (c.pfLine0 + k) >> c.tagShift, valid: true, lru: k + 1}
+		}
+	}
+}
+
+// prefillRule prefills the n lines from line address line0 by rule, if the
+// loop that accesses them in order would only fill free ways: the cache is
+// empty — it holds no set and no snapshot, and has counted no access — and
+// no set takes more than Ways of the lines. Each access would then miss and
+// fill the next free way of its set with the next LRU stamp, so line k lands
+// in set (line0+k)&setMask with stamp k+1. It counts the n misses as the
+// loop would, records the rule, builds no set, and reports whether it
+// applied.
+func (c *Cache) prefillRule(line0, n uint64) bool {
+	if c.src != nil || c.built != 0 || c.stamp != 0 || n > uint64(len(c.at))*uint64(c.cfg.Ways) {
+		return false
+	}
+	c.pfLine0, c.pfLines = line0, n
+	c.stamp = n
+	c.Stats.Accesses += n
+	c.Stats.Misses += n
+	return true
 }
 
 // build places set i after the last set built and returns it. A block holds
@@ -240,13 +276,14 @@ func (c *Cache) Probe(addr uint64) bool {
 	return false
 }
 
-// Reset invalidates all lines and clears statistics. A restored cache
-// forgets its snapshot: the sets it has not built yet are built empty.
+// Reset invalidates all lines and clears statistics: the cache is again as
+// NewCache built it, holding no set, and forgets any snapshot or prefill
+// rule.
 func (c *Cache) Reset() {
-	for _, b := range c.blocks {
-		clear(b)
-	}
+	clear(c.at)
+	c.blocks, c.built, c.next = nil, 0, 0
 	c.src = nil
+	c.pfLines = 0
 	c.stamp = 0
 	c.Stats = CacheStats{}
 }
@@ -318,15 +355,32 @@ func (h *Hierarchy) InstAccess(addr uint64) int {
 	return lat + h.cfg.MemLatency
 }
 
-// Prefill installs the address range [base, base+size) into the L2 cache,
-// line by line, without touching the L1s or statistics beyond the L2's own
-// counters. It models a measured phase whose working set was touched earlier
-// in the program's execution (SimPoint phases never start from a cold
-// machine).
+// Prefill installs the address range [base, base+size) into the L2 cache
+// as if each of its lines were accessed in address order, without touching
+// the L1s or statistics beyond the L2's own counters. It models a measured
+// phase whose working set was touched earlier in the program's execution
+// (SimPoint phases never start from a cold machine).
+//
+// Into an empty L2 that has room for the region in every set, those
+// accesses would all miss and fill free ways in a fixed pattern, so Prefill
+// counts the misses and records the region as a rule in O(1); each set is
+// built from the rule the first time something reaches it, and a snapshot
+// encodes the sets nobody reached from the same rule. Into a cache that
+// holds lines already, or a region that overflows a set, it accesses the
+// lines one by one.
 func (h *Hierarchy) Prefill(base, size uint64) {
-	line := uint64(h.L2.Config().LineBytes)
-	for a := base &^ (line - 1); a < base+size; a += line {
-		h.L2.Access(a)
+	c := h.L2
+	line := uint64(c.cfg.LineBytes)
+	start, end := base&^(line-1), base+size
+	var n uint64
+	if end > start {
+		n = (end-start-1)>>c.lineShift + 1
+	}
+	if c.prefillRule(start>>c.lineShift, n) {
+		return
+	}
+	for a := start; a < end; a += line {
+		c.Access(a)
 	}
 }
 

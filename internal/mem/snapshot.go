@@ -16,32 +16,15 @@ const wayRecordBytes = 1 + 8 + 8
 // need no bytes. Statistics are not serialized — snapshots are taken at the
 // warmup boundary, where the pipeline zeroes them anyway.
 //
-// A set a restored cache has not touched yet is decoded into a scratch set
-// and encoded from there, never copied verbatim: ReadState accepts records
+// A set nobody has reached yet is encoded from the set it would be built
+// as: from the prefill rule in a prefilled cache, and in a restored cache
+// decoded from its record, never copied verbatim — ReadState accepts records
 // whose way indices repeat or come out of order, and re-encoding gives the
 // bytes of the set they define.
 func (c *Cache) AppendState(w *snap.Writer) {
 	w.U64(c.stamp)
-	var scratch []line
-	for _, a := range c.at {
-		var set []line
-		switch {
-		case a&builtBit != 0:
-			set = c.builtAt(a)
-		case c.src != nil:
-			if scratch == nil {
-				scratch = make([]line, c.cfg.Ways)
-			}
-			c.decode(scratch, a)
-			set = scratch
-		}
-		n := 0
-		for wi := range set {
-			if set[wi].valid {
-				n++
-			}
-		}
-		w.U8(uint8(n))
+	c.eachSet(func(set []line) {
+		w.U8(uint8(validWays(set)))
 		for wi := range set {
 			if set[wi].valid {
 				w.U8(uint8(wi))
@@ -49,7 +32,40 @@ func (c *Cache) AppendState(w *snap.Writer) {
 				w.U64(set[wi].lru)
 			}
 		}
+	})
+}
+
+// StateLen returns the length of the bytes AppendState writes, without
+// encoding them.
+func (c *Cache) StateLen() int {
+	n := 8
+	c.eachSet(func(set []line) { n += 1 + validWays(set)*wayRecordBytes })
+	return n
+}
+
+// eachSet calls f with every set in index order; a set not built yet is
+// passed as it would be built, in a scratch set f must not keep.
+func (c *Cache) eachSet(f func(set []line)) {
+	scratch := make([]line, c.cfg.Ways)
+	for i, a := range c.at {
+		if a&builtBit != 0 {
+			f(c.builtAt(a))
+			continue
+		}
+		c.unbuilt(scratch, uint64(i), a)
+		f(scratch)
 	}
+}
+
+// validWays counts the valid lines of set.
+func validWays(set []line) int {
+	n := 0
+	for i := range set {
+		if set[i].valid {
+			n++
+		}
+	}
+	return n
 }
 
 // ReadState restores state written by AppendState into a cache of identical
@@ -63,7 +79,7 @@ func (c *Cache) AppendState(w *snap.Writer) {
 // copy — and the offset of each set's record, and drops every set it built.
 // Each set is decoded the first time Access or Probe reaches it, so the
 // bytes must not change while the cache lives. Where a record names a way
-// twice, the last one wins.
+// twice, the last one wins. The snapshot replaces any prefill rule.
 func (c *Cache) ReadState(r *snap.Reader) error {
 	stamp := r.U64()
 	b := r.Tail()
@@ -99,14 +115,14 @@ func (c *Cache) ReadState(r *snap.Reader) error {
 		rec += 1 + int(b[rec])*wayRecordBytes
 	}
 	c.blocks, c.built, c.next = nil, 0, 0
+	c.pfLines = 0
 	c.stamp = stamp
 	c.Stats = CacheStats{}
 	return nil
 }
 
-// decode fills set with the set whose record starts at src[off].
+// decode writes into the cleared set the lines of the record at src[off].
 func (c *Cache) decode(set []line, off uint32) {
-	clear(set)
 	r := snap.NewReader(c.src[off:])
 	for n := r.U8(); n > 0; n-- {
 		wi := r.U8()
@@ -119,6 +135,11 @@ func (h *Hierarchy) AppendState(w *snap.Writer) {
 	h.L1I.AppendState(w)
 	h.L1D.AppendState(w)
 	h.L2.AppendState(w)
+}
+
+// StateLen returns the length of the bytes AppendState writes.
+func (h *Hierarchy) StateLen() int {
+	return h.L1I.StateLen() + h.L1D.StateLen() + h.L2.StateLen()
 }
 
 // ReadState restores all three cache levels.

@@ -70,7 +70,8 @@ func TestCacheSnapshotCorrupt(t *testing.T) {
 }
 
 // TestResetForgetsSnapshot pins that Reset empties a restored cache,
-// including the sets it has not decoded yet.
+// including the sets it has not decoded yet, and a prefilled one, including
+// the sets it has not built from the prefill rule yet.
 func TestResetForgetsSnapshot(t *testing.T) {
 	cfg := DefaultHierarchy()
 	h := NewHierarchy(cfg)
@@ -85,6 +86,14 @@ func TestResetForgetsSnapshot(t *testing.T) {
 	h2.Reset()
 	if got, want := hierarchyBytes(h2), hierarchyBytes(NewHierarchy(cfg)); !bytes.Equal(got, want) {
 		t.Fatal("Reset left restored lines in the cache")
+	}
+
+	h3 := NewHierarchy(cfg)
+	h3.Prefill(1<<30, 1<<20)
+	h3.DataAccess(1 << 30) // build one set of each data-side level
+	h3.Reset()
+	if got, want := hierarchyBytes(h3), hierarchyBytes(NewHierarchy(cfg)); !bytes.Equal(got, want) {
+		t.Fatal("Reset left prefilled lines in the cache")
 	}
 }
 
@@ -116,12 +125,11 @@ func eagerReadState(c *Cache, r *snap.Reader) error {
 	return r.Err()
 }
 
-// eagerHierarchy builds a hierarchy whose caches hold every set, as NewCache
-// used to build them, and restores r into it with the reference decoder.
+// eagerHierarchy restores r into a fresh hierarchy with the reference
+// decoder, which builds every set of each cache as NewCache used to.
 func eagerHierarchy(cfg HierarchyConfig, r *snap.Reader) (*Hierarchy, error) {
 	h := NewHierarchy(cfg)
 	for _, c := range []*Cache{h.L1I, h.L1D, h.L2} {
-		c.set(0) // a fresh cache builds every set on its first touch
 		if err := eagerReadState(c, r); err != nil {
 			return nil, err
 		}

@@ -48,15 +48,20 @@ var ErrSnapshotUnsupported = errors.New("snapshot unsupported")
 type StatefulSource interface {
 	Source
 	AppendState(*snap.Writer)
+	// StateLen returns the length of the bytes AppendState writes.
+	StateLen() int
 	ReadState(*snap.Reader) error
 }
+
+// geometryWords is the length of the snapshot's geometry block in words.
+const geometryWords = 29
 
 // geometry returns the configuration fields a snapshot must agree on as a
 // flat list of named words: every field that shapes serialized state or
 // drives deterministic stream consumption. Scheme is excluded (see
 // SnapshotVersion); observer and debug knobs are excluded because they do
 // not affect machine state.
-func (c *Config) geometry() [29]struct {
+func (c *Config) geometry() [geometryWords]struct {
 	name string
 	v    uint64
 } {
@@ -67,7 +72,7 @@ func (c *Config) geometry() [29]struct {
 		}
 		return 0
 	}
-	return [29]struct {
+	return [geometryWords]struct {
 		name string
 		v    uint64
 	}{
@@ -119,10 +124,18 @@ func (p *Pipeline) snapshotable() error {
 	return nil
 }
 
+// snapshotHeaderLen is the length of a snapshot's magic, version, geometry
+// and scalar blocks: everything SnapshotState writes before the components.
+const snapshotHeaderLen = 4 + 4 + geometryWords*8 + 6*8 + 8 + 1 + 4*8 + 1
+
 // SnapshotState serializes the warm state of a drained machine. The result
 // is deterministic: the same machine state yields the same bytes. It fails
 // on a machine with instructions in flight, a supervisor or hazard timeline
 // attached, a custom predictor, or a source that cannot be checkpointed.
+//
+// The bytes are written once, into a buffer of their final length: every
+// component reports its encoded length first, so a memo that keeps a
+// snapshot keeps no spare capacity.
 func (p *Pipeline) SnapshotState() ([]byte, error) {
 	if err := p.CheckDrained(); err != nil {
 		return nil, fmt.Errorf("pipeline: snapshot of a non-drained machine: %w", err)
@@ -130,7 +143,10 @@ func (p *Pipeline) SnapshotState() ([]byte, error) {
 	if err := p.snapshotable(); err != nil {
 		return nil, err
 	}
-	w := &snap.Writer{}
+	src := p.src.(StatefulSource)
+	n := snapshotHeaderLen + p.env.StateLen() + p.hier.StateLen() + p.bp.StateLen() +
+		p.noise.StateLen() + p.tep.(*tep.TEP).StateLen() + p.fusr.StateLen() + src.StateLen()
+	w := &snap.Writer{B: make([]byte, 0, n)}
 	w.U32(snapshotMagic)
 	w.U32(SnapshotVersion)
 	for _, f := range p.cfg.geometry() {
@@ -162,7 +178,7 @@ func (p *Pipeline) SnapshotState() ([]byte, error) {
 	p.noise.AppendState(w)
 	p.tep.(*tep.TEP).AppendState(w)
 	p.fusr.AppendState(w)
-	p.src.(StatefulSource).AppendState(w)
+	src.AppendState(w)
 	return w.B, nil
 }
 

@@ -56,10 +56,23 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 	if string(blob) != string(blob2) {
 		t.Fatal("snapshot bytes not deterministic")
 	}
+	if len(blob) != cap(blob) {
+		t.Fatalf("snapshot of %d bytes in a buffer of %d: a component's StateLen is off", len(blob), cap(blob))
+	}
 
 	p2 := snapPipe(t, "bzip2", core.ABS, 7, fault.VNominal)
 	if err := p2.RestoreState(blob); err != nil {
 		t.Fatal(err)
+	}
+	// A restored machine that has not run snapshots to its donor's bytes,
+	// sized as exactly from the sets it has not decoded.
+	blob3, err := p2.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(blob3) != string(blob) || len(blob3) != cap(blob3) {
+		t.Fatalf("restored machine snapshots to %d bytes in a buffer of %d, want its donor's %d bytes exactly",
+			len(blob3), cap(blob3), len(blob))
 	}
 
 	// Retarget both to the faulty supply and run.

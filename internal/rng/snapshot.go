@@ -11,6 +11,9 @@ func (s *Source) AppendState(w *snap.Writer) {
 	w.Bool(s.hasSpare)
 }
 
+// StateLen returns the length of the bytes AppendState writes.
+func (s *Source) StateLen() int { return 8 + 8 + 1 }
+
 // ReadState restores state written by AppendState.
 func (s *Source) ReadState(r *snap.Reader) error {
 	s.state = r.U64()

@@ -101,13 +101,6 @@ type Session struct {
 	prof workload.Profile // zero for asm sessions
 	p    *pipeline.Pipeline
 
-	// owesPrefill marks the L2 working-set prefill of warmBase/warmSize as
-	// still to be done. New defers it to the first simulated cycle (see
-	// payPrefill), and a successful Restore cancels it: the snapshot
-	// defines every L2 set, so a restored session never pays for it.
-	owesPrefill        bool
-	warmBase, warmSize uint64
-
 	warmed     bool // a warmup phase has completed
 	neutral    bool // the warm state was produced at the nominal supply
 	retargeted bool // the measurement supply is in force
@@ -136,9 +129,13 @@ func New(cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{cfg: cfg, prof: prof, p: p, retargeted: true, owesPrefill: true}
-	s.warmBase, s.warmSize = gen.WarmRegion()
-	return s, nil
+	// A measured phase's working set was touched earlier in the program, so
+	// SimPoint phases never start from a cold L2: install the benchmark's
+	// warm data region. Where the L2 holds the region without an eviction,
+	// this records a rule and builds no set (mem.Hierarchy.Prefill); a
+	// Restore replaces it.
+	p.PrefillData(gen.WarmRegion())
+	return &Session{cfg: cfg, prof: prof, p: p, retargeted: true}, nil
 }
 
 // image is the read-only part of a session that depends only on (profile,
@@ -196,19 +193,6 @@ func buildImage(prof workload.Profile, seed uint64) (*image, error) {
 	return &image{prog, fault.NewWithTable(fc, workload.CodeBase, prog.StaticFootprint())}, nil
 }
 
-// payPrefill installs the benchmark's warm data region into the L2 — a
-// measured phase's working set was touched earlier in the program, so
-// SimPoint phases never start from a cold L2 — if the session still owes it.
-// Every simulating entry point calls it first. Nothing between New and the
-// first simulated cycle reads the caches, so the machine is exactly the one
-// an eager prefill in New would have built.
-func (s *Session) payPrefill() {
-	if s.owesPrefill {
-		s.p.PrefillData(s.warmBase, s.warmSize)
-		s.owesPrefill = false
-	}
-}
-
 // NewAsm builds a session whose instruction stream comes from a kernel in
 // the repository's mini assembly: the program is assembled, executed
 // architecturally, and the committed stream drives the pipeline. init, when
@@ -238,7 +222,6 @@ func NewAsm(cfg Config, source string, init func(m *asm.Machine)) (*Session, err
 // cannot feed the shared snapshot cache — use WarmupNeutral for that.
 func (s *Session) Warmup(ctx context.Context) error {
 	defer s.phase("warmup")()
-	s.payPrefill()
 	if err := s.p.WarmupContext(ctx, s.cfg.Warmup); err != nil {
 		return err
 	}
@@ -264,7 +247,6 @@ func (s *Session) phase(name string) func() {
 // share it across sweep cells.
 func (s *Session) WarmupNeutral(ctx context.Context) error {
 	defer s.phase("warmup_neutral")()
-	s.payPrefill()
 	s.p.SetVDD(fault.VNominal)
 	if err := s.p.WarmupContext(ctx, s.cfg.Warmup); err != nil {
 		return err
@@ -294,8 +276,8 @@ func (s *Session) Snapshot() ([]byte, error) {
 // from a session with the same benchmark, seed, warmup and machine geometry
 // — WarmKey captures exactly this compatibility class; the pipeline
 // additionally verifies geometry field by field. After Restore the session
-// behaves as if WarmupNeutral had just completed. A successful Restore
-// cancels the L2 prefill New deferred.
+// behaves as if WarmupNeutral had just completed. The snapshot defines every
+// L2 set, so it replaces the prefill New recorded.
 //
 // The restored caches keep a reference to snapshot and decode each set from
 // it the first time the set is reached, so snapshot must not change while
@@ -309,7 +291,6 @@ func (s *Session) Restore(snapshot []byte) error {
 	if err := s.p.RestoreState(snapshot); err != nil {
 		return err
 	}
-	s.owesPrefill = false
 	s.warmed = true
 	s.neutral = true
 	s.retargeted = s.cfg.VDD == fault.VNominal
@@ -321,7 +302,6 @@ func (s *Session) Restore(snapshot []byte) error {
 // neutral — and returns the statistics accumulated since the warm boundary.
 func (s *Session) Run(ctx context.Context, n uint64) (pipeline.Stats, error) {
 	defer s.phase("run")()
-	s.payPrefill()
 	if !s.retargeted {
 		s.p.SetVDD(s.cfg.VDD)
 		s.retargeted = true

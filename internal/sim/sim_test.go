@@ -15,21 +15,50 @@ import (
 	"tvsched/internal/workload"
 )
 
-// TestDeferredPrefillMatchesEager pins that New's L2 prefill, paid at the
-// first simulated cycle, builds the same machine as prefilling inside New
-// (the eager reference pays the debt right after construction): every
-// lifecycle yields identical statistics, and donors identical snapshots.
-func TestDeferredPrefillMatchesEager(t *testing.T) {
+// loopPrefilled builds the session New builds for cfg, but installs the warm
+// region the way Prefill did before it prefilled by rule: one access per
+// line, in address order. The first line goes in alone — by rule, where
+// one access would put it — which leaves the L2 non-empty, so every later
+// line takes the per-line loop.
+func loopPrefilled(t *testing.T, cfg Config) *Session {
+	t.Helper()
+	prof, err := workload.Lookup(cfg.Benchmark)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := imageOf(prof, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := img.prog.NewGenerator()
+	p, err := pipeline.New(cfg.machineConfig(prof.MispredictRate), gen, img.model, cfg.VDD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, size := gen.WarmRegion()
+	if base%64 != 0 || size <= 64 {
+		t.Fatalf("warm region [%#x, +%d) does not start a line or spans one line", base, size)
+	}
+	p.PrefillData(base, 64)
+	p.PrefillData(base+64, size-64)
+	return &Session{cfg: cfg, prof: prof, p: p, retargeted: true}
+}
+
+// TestPrefillRuleMatchesLoop pins that a session whose L2 New prefills by
+// rule is the machine the per-line prefill loop builds: every lifecycle
+// yields identical statistics, donors identical snapshots, and a restore
+// replaces either L2 with the snapshot's.
+func TestPrefillRuleMatchesLoop(t *testing.T) {
 	ctx := context.Background()
 	cfg := Config{Benchmark: "mcf", Scheme: core.ABS, VDD: fault.VHighFault, Warmup: 3000, Seed: 5}
-	build := func(eager bool) *Session {
+	build := func(loop bool) *Session {
 		t.Helper()
+		if loop {
+			return loopPrefilled(t, cfg)
+		}
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if eager {
-			s.payPrefill()
 		}
 		return s
 	}
@@ -43,8 +72,8 @@ func TestDeferredPrefillMatchesEager(t *testing.T) {
 	}
 	for _, lc := range lifecycles {
 		var stats [2]pipeline.Stats
-		for i, eager := range []bool{false, true} {
-			s := build(eager)
+		for i, loop := range []bool{false, true} {
+			s := build(loop)
 			if err := lc.warm(s); err != nil {
 				t.Fatal(err)
 			}
@@ -52,19 +81,16 @@ func TestDeferredPrefillMatchesEager(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.owesPrefill {
-				t.Fatalf("%s: prefill still owed after simulating", lc.name)
-			}
 			stats[i] = st
 		}
 		if !reflect.DeepEqual(stats[0], stats[1]) {
-			t.Errorf("%s: deferred prefill changed the run:\n got %+v\nwant %+v", lc.name, stats[0], stats[1])
+			t.Errorf("%s: the prefill rule changed the run:\n got %+v\nwant %+v", lc.name, stats[0], stats[1])
 		}
 	}
 
 	var snaps [2][]byte
-	for i, eager := range []bool{false, true} {
-		s := build(eager)
+	for i, loop := range []bool{false, true} {
+		s := build(loop)
 		if err := s.WarmupNeutral(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -75,19 +101,24 @@ func TestDeferredPrefillMatchesEager(t *testing.T) {
 		snaps[i] = b
 	}
 	if !bytes.Equal(snaps[0], snaps[1]) {
-		t.Fatal("deferred prefill changed the donor snapshot")
+		t.Fatal("the prefill rule changed the donor snapshot")
 	}
 
-	// The snapshot defines every L2 set, so Restore cancels the debt; the
-	// restored run matches one restored over an eagerly prefilled machine.
+	// The snapshot defines every L2 set, so Restore replaces the rule as it
+	// replaces the sets the loop built: both restored machines snapshot to
+	// the donor's bytes and run alike.
 	var stats [2]pipeline.Stats
-	for i, eager := range []bool{false, true} {
-		s := build(eager)
+	for i, loop := range []bool{false, true} {
+		s := build(loop)
 		if err := s.Restore(snaps[0]); err != nil {
 			t.Fatal(err)
 		}
-		if s.owesPrefill {
-			t.Fatal("Restore left the prefill owed")
+		b, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b, snaps[0]) {
+			t.Fatalf("restored over a prefilled L2 (loop %t), the session does not snapshot to its donor's bytes", loop)
 		}
 		st, err := s.Run(ctx, 4000)
 		if err != nil {
@@ -96,7 +127,7 @@ func TestDeferredPrefillMatchesEager(t *testing.T) {
 		stats[i] = st
 	}
 	if !reflect.DeepEqual(stats[0], stats[1]) {
-		t.Errorf("restored run differs over a cold and a prefilled L2:\n got %+v\nwant %+v", stats[0], stats[1])
+		t.Errorf("restored run differs over a ruled and a loop-prefilled L2:\n got %+v\nwant %+v", stats[0], stats[1])
 	}
 }
 

@@ -33,6 +33,17 @@ func (t *TEP) AppendState(w *snap.Writer) {
 	}
 }
 
+// StateLen returns the length of the bytes AppendState writes.
+func (t *TEP) StateLen() int {
+	n := 3 * 4
+	for i := range t.tab {
+		if t.tab[i].valid {
+			n += 4 + 4 + 1 + 1 + 1
+		}
+	}
+	return n
+}
+
 // ReadState restores state written by AppendState into a predictor of
 // identical geometry; mismatched geometry is rejected. Statistics are
 // zeroed.

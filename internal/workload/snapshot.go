@@ -30,6 +30,11 @@ func (g *Generator) AppendState(w *snap.Writer) {
 	w.U64(g.emitted)
 }
 
+// StateLen returns the length of the bytes AppendState writes.
+func (g *Generator) StateLen() int {
+	return g.src.StateLen() + 4 + 8*len(g.cursors) + 4*8 + len(g.ring) + 8 + 1 + 8
+}
+
 // ReadState restores state written by AppendState. The receiver must walk a
 // program of the same (profile, seed) the writer's did — the
 // static-footprint check catches a mismatched program, and the loop indices

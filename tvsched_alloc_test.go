@@ -83,3 +83,49 @@ func TestRestoredCellAllocBytes(t *testing.T) {
 		t.Logf("restored %s cell: NewSession + Restore + Run(8k) allocated %.0f KB", bench, kb)
 	}
 }
+
+// TestDonorAllocBytes pins the bytes a donor allocates: NewSession, a 20k
+// WarmupNeutral and Snapshot, on a (benchmark, seed) whose program image is
+// already cached — a warm group's donor or a served miss. New prefills the
+// L2 by rule, so the donor builds only the L2 sets its warmup reaches, and
+// Snapshot writes one buffer of the snapshot's final length. mcf (a 4 MB
+// warm region) stays under 3 MB and sjeng (1 MB) under 1.5 MB (1.8 and
+// 0.7 MB measured); a donor that built every L2 set and grew its snapshot
+// by append took 9.5 and 4.7 MB.
+func TestDonorAllocBytes(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		bench string
+		maxMB float64
+	}{{"mcf", 3}, {"sjeng", 1.5}} {
+		cfg := tvsched.Config{Benchmark: tc.bench, Scheme: tvsched.ABS, VDD: tvsched.VHighFault,
+			Instructions: 8000, Warmup: 20000, Seed: 1}
+		if _, err := tvsched.NewSession(cfg); err != nil { // caches the image
+			t.Fatal(err)
+		}
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		donor, err := tvsched.NewSession(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := donor.WarmupNeutral(ctx); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := donor.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+		if mb > tc.maxMB {
+			t.Errorf("%s donor allocated %.2f MB, want <= %.1f", tc.bench, mb, tc.maxMB)
+		}
+		if len(snap.Data) != cap(snap.Data) {
+			t.Errorf("%s snapshot: %d bytes in a buffer of %d, want no spare capacity", tc.bench, len(snap.Data), cap(snap.Data))
+		}
+		t.Logf("%s donor: NewSession + WarmupNeutral(20k) + Snapshot allocated %.2f MB; snapshot %d KB",
+			tc.bench, mb, len(snap.Data)/1024)
+	}
+}
