@@ -536,7 +536,9 @@ func BenchmarkCycleLoop(b *testing.B) {
 // BenchmarkDonor times one warm group's donor: NewSession, a 20k-instruction
 // WarmupNeutral and Snapshot on mcf, whose program image is cached before
 // the timer starts, as a sweep's or a served miss's donor finds it. Its B/op
-// is what TestDonorAllocBytes bounds; snapshot-KB is the snapshot's length.
+// and snapshot-KB, the snapshot's length, are what TestDonorAllocBytes
+// bounds: about 1 MB and 240 KB, since the snapshot records the L2's prefill
+// rule and only the sets the warmup changed.
 func BenchmarkDonor(b *testing.B) {
 	ctx := context.Background()
 	cfg := tvsched.Config{Benchmark: "mcf", Scheme: tvsched.ABS, VDD: tvsched.VHighFault,

@@ -9,6 +9,7 @@ package mem
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"unsafe"
 )
 
@@ -67,9 +68,9 @@ type line struct {
 
 // Cache is a set-associative cache with true-LRU replacement. It holds a
 // set only once something touches it, and builds each set the first time it
-// is reached: empty in a fresh cache, from the prefill rule in a prefilled
-// one (see Hierarchy.Prefill), and from the snapshot bytes in a restored one
-// (see ReadState).
+// is reached: from its snapshot record in a restored cache that has one
+// (see ReadState), and otherwise as its rule set — the lines the prefill
+// rule puts in it (see Hierarchy.Prefill), none where there is no rule.
 type Cache struct {
 	cfg       CacheConfig
 	setMask   uint64
@@ -81,10 +82,10 @@ type Cache struct {
 	// Built sets live in blocks of perBlock sets each, in the order they
 	// were built. at[i] locates set i: once it is built, the built bit, its
 	// block's index (bits 16–30) and the offset of its first line in the
-	// block (bits 0–15); until then, in a restored cache, the offset in src
-	// of its snapshot record. A 4-byte word per set keeps the table that
-	// every cache allocates up front small: 32 KB for the 8 MB L2, where a
-	// slice header per set would take 196 KB.
+	// block (bits 0–15); until then, 0 if it has no snapshot record, and the
+	// offset of its record in src plus one if it has. A 4-byte word per set
+	// keeps the table that every cache allocates up front small: 32 KB for
+	// the 8 MB L2, where a slice header per set would take 196 KB.
 	at       []uint32
 	blocks   [][]line
 	perBlock int
@@ -95,10 +96,10 @@ type Cache struct {
 	// It aliases the snapshot bytes.
 	src []byte
 
-	// pfLine0 and pfLines are the prefill rule of a cache whose prefill ran
-	// no loop: the pfLines lines from line address pfLine0, which an empty
-	// cache holds without an eviction (see prefillRule). pfLines is 0 when
-	// there is no rule.
+	// pfLine0 and pfLines are the prefill rule: the pfLines lines from line
+	// address pfLine0, which an empty cache holds without an eviction (see
+	// prefillRule). A prefill that ran no loop records it, and a snapshot
+	// carries it. Both are 0 when there is no rule.
 	pfLine0, pfLines uint64
 }
 
@@ -163,22 +164,25 @@ func (c *Cache) materialize(i uint64) []line {
 }
 
 // unbuilt writes into set the lines of set i, which is not built yet and
-// whose at entry is a: the set its snapshot record decodes to in a restored
-// cache, its lines of the prefill rule in a prefilled one, and none
-// otherwise.
+// whose at entry is a: the set its snapshot record decodes to if it has one,
+// and its rule set otherwise.
 func (c *Cache) unbuilt(set []line, i uint64, a uint32) {
+	if a != 0 {
+		c.decode(set, a-1)
+		return
+	}
+	c.ruleSet(set, i)
+}
+
+// ruleSet writes into set the lines the prefill rule puts in set i: none
+// where there is no rule.
+func (c *Cache) ruleSet(set []line, i uint64) {
 	clear(set)
-	switch {
-	case c.src != nil:
-		c.decode(set, a)
-	case c.pfLines != 0:
-		// Line k of the region sits in set (pfLine0+k)&setMask, so the
-		// lines of set i are k0, k0+numSets, ... below pfLines, filling its
-		// ways in order.
-		numSets := c.setMask + 1
-		for k, w := (i-c.pfLine0)&c.setMask, 0; k < c.pfLines; k, w = k+numSets, w+1 {
-			set[w] = line{tag: (c.pfLine0 + k) >> c.tagShift, valid: true, lru: k + 1}
-		}
+	// Line k of the region sits in set (pfLine0+k)&setMask, so the lines of
+	// set i are k0, k0+numSets, ... below pfLines, filling its ways in order.
+	numSets := c.setMask + 1
+	for k, w := (i-c.pfLine0)&c.setMask, 0; k < c.pfLines; k, w = k+numSets, w+1 {
+		set[w] = line{tag: (c.pfLine0 + k) >> c.tagShift, valid: true, lru: k + 1}
 	}
 }
 
@@ -188,13 +192,15 @@ func (c *Cache) unbuilt(set []line, i uint64, a uint32) {
 // no set takes more than Ways of the lines. Each access would then miss and
 // fill the next free way of its set with the next LRU stamp, so line k lands
 // in set (line0+k)&setMask with stamp k+1. It counts the n misses as the
-// loop would, records the rule, builds no set, and reports whether it
-// applied.
+// loop would, records the rule (a region of no lines is no rule, which is
+// (0, 0)), builds no set, and reports whether it applied.
 func (c *Cache) prefillRule(line0, n uint64) bool {
 	if c.src != nil || c.built != 0 || c.stamp != 0 || n > uint64(len(c.at))*uint64(c.cfg.Ways) {
 		return false
 	}
-	c.pfLine0, c.pfLines = line0, n
+	if n != 0 {
+		c.pfLine0, c.pfLines = line0, n
+	}
 	c.stamp = n
 	c.Stats.Accesses += n
 	c.Stats.Misses += n
@@ -224,6 +230,33 @@ func (c *Cache) build(i int) []line {
 
 // Config returns the cache's configuration.
 func (c *Cache) Config() CacheConfig { return c.cfg }
+
+// FirstDifferentSet returns the index of the first set whose lines — valid
+// bits, tags and LRU stamps — differ between c and o, which have the same
+// geometry, or -1 when every set holds the same lines. A set not built yet
+// compares as it would be built, from its snapshot record or the prefill
+// rule, so two caches that hold the same lines compare equal however they
+// came by them. It builds no set.
+func (c *Cache) FirstDifferentSet(o *Cache) int {
+	a, b := make([]line, c.cfg.Ways), make([]line, o.cfg.Ways)
+	for i := range c.at {
+		if !slices.Equal(c.view(i, a), o.view(i, b)) {
+			return i
+		}
+	}
+	return -1
+}
+
+// view returns set i without building it: the set itself once it is built,
+// and until then the set it would be built as, written into scratch.
+func (c *Cache) view(i int, scratch []line) []line {
+	a := c.at[i]
+	if a&builtBit != 0 {
+		return c.builtAt(a)
+	}
+	c.unbuilt(scratch, uint64(i), a)
+	return scratch
+}
 
 // NumSets returns the number of sets.
 func (c *Cache) NumSets() int { return len(c.at) }
@@ -283,7 +316,7 @@ func (c *Cache) Reset() {
 	clear(c.at)
 	c.blocks, c.built, c.next = nil, 0, 0
 	c.src = nil
-	c.pfLines = 0
+	c.pfLine0, c.pfLines = 0, 0
 	c.stamp = 0
 	c.Stats = CacheStats{}
 }
@@ -365,9 +398,9 @@ func (h *Hierarchy) InstAccess(addr uint64) int {
 // accesses would all miss and fill free ways in a fixed pattern, so Prefill
 // counts the misses and records the region as a rule in O(1); each set is
 // built from the rule the first time something reaches it, and a snapshot
-// encodes the sets nobody reached from the same rule. Into a cache that
-// holds lines already, or a region that overflows a set, it accesses the
-// lines one by one.
+// carries the rule and records only the sets that differ from it. Into a
+// cache that holds lines already, or a region that overflows a set, it
+// accesses the lines one by one.
 func (h *Hierarchy) Prefill(base, size uint64) {
 	c := h.L2
 	line := uint64(c.cfg.LineBytes)

@@ -1,29 +1,45 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"tvsched/internal/snap"
 )
 
-// A set's record is a valid-way count n and n way records; a way record is
-// its way index, tag and LRU stamp.
-const wayRecordBytes = 1 + 8 + 8
+// A cache's state is its stamp, its prefill rule (line0, lines) and a record
+// count; a record is a set index, a valid-way count n and n way records; a
+// way record is its way index, tag and LRU stamp.
+const (
+	stateHeadBytes  = 8 + 8 + 8 + 4
+	recordHeadBytes = 4 + 1
+	wayRecordBytes  = 1 + 8 + 8
+)
 
-// AppendState serializes the cache's tag/LRU state sparsely: per set, only
-// the valid lines (way index, tag, LRU stamp) in way order. Lines are never
+// AppendState serializes the cache's tag/LRU state: the LRU stamp, the
+// prefill rule — (0, 0) when there is none — and a record of each set that
+// differs from its rule set, in increasing set index. A record holds only
+// the valid lines (way index, tag, LRU stamp) in way order: lines are never
 // invalidated outside Reset, so invalid ways are always the zero value and
 // need no bytes. Statistics are not serialized — snapshots are taken at the
 // warmup boundary, where the pipeline zeroes them anyway.
 //
-// A set nobody has reached yet is encoded from the set it would be built
-// as: from the prefill rule in a prefilled cache, and in a restored cache
-// decoded from its record, never copied verbatim — ReadState accepts records
-// whose way indices repeat or come out of order, and re-encoding gives the
-// bytes of the set they define.
+// Only a built set or one with a snapshot record can differ from its rule
+// set, so no other set is built or decoded. A set equal to its rule set is
+// not recorded, and a record of a restored cache is decoded and re-encoded,
+// never copied — ReadState accepts records whose way indices repeat or come
+// out of order — so the bytes are a function of the cache's rule and lines.
 func (c *Cache) AppendState(w *snap.Writer) {
 	w.U64(c.stamp)
-	c.eachSet(func(set []line) {
+	w.U64(c.pfLine0)
+	w.U64(c.pfLines)
+	at := len(w.B)
+	w.U32(0) // the record count, written once the records are
+	var n uint32
+	c.eachRecord(func(i int, set []line) {
+		n++
+		w.U32(uint32(i))
 		w.U8(uint8(validWays(set)))
 		for wi := range set {
 			if set[wi].valid {
@@ -33,27 +49,40 @@ func (c *Cache) AppendState(w *snap.Writer) {
 			}
 		}
 	})
+	binary.LittleEndian.PutUint32(w.B[at:], n)
 }
 
 // StateLen returns the length of the bytes AppendState writes, without
 // encoding them.
 func (c *Cache) StateLen() int {
-	n := 8
-	c.eachSet(func(set []line) { n += 1 + validWays(set)*wayRecordBytes })
+	n := stateHeadBytes
+	c.eachRecord(func(_ int, set []line) { n += recordHeadBytes + validWays(set)*wayRecordBytes })
 	return n
 }
 
-// eachSet calls f with every set in index order; a set not built yet is
-// passed as it would be built, in a scratch set f must not keep.
-func (c *Cache) eachSet(f func(set []line)) {
-	scratch := make([]line, c.cfg.Ways)
+// eachRecord calls f, in increasing set index, with every set that differs
+// from its rule set. It looks only at built sets and at sets with a snapshot
+// record, since every other set is built from the rule; a recorded set not
+// built yet is passed decoded, in a scratch set f must not keep.
+func (c *Cache) eachRecord(f func(i int, set []line)) {
+	ways := c.cfg.Ways
+	scratch := make([]line, 2*ways)
+	decoded, rule := scratch[:ways], scratch[ways:]
 	for i, a := range c.at {
-		if a&builtBit != 0 {
-			f(c.builtAt(a))
+		var set []line
+		switch {
+		case a&builtBit != 0:
+			set = c.builtAt(a)
+		case a != 0:
+			c.decode(decoded, a-1)
+			set = decoded
+		default:
 			continue
 		}
-		c.unbuilt(scratch, uint64(i), a)
-		f(scratch)
+		c.ruleSet(rule, uint64(i))
+		if !slices.Equal(set, rule) {
+			f(i, set)
+		}
 	}
 }
 
@@ -72,29 +101,52 @@ func validWays(set []line) int {
 // geometry (the caller validates geometry via the config digest before
 // getting here). Statistics are zeroed.
 //
-// It validates every set's record and decodes none: no record may be
-// truncated, name more valid ways than the cache has, or index a way out of
-// range. Tags and LRU stamps are not checked. Only then does it change the
-// cache, which keeps the bytes of the records — a sub-slice of r's, not a
-// copy — and the offset of each set's record, and drops every set it built.
-// Each set is decoded the first time Access or Probe reaches it, so the
-// bytes must not change while the cache lives. Where a record names a way
-// twice, the last one wins. The snapshot replaces any prefill rule.
+// It validates everything and decodes no set: the rule may put at most Ways
+// lines in every set (at most sets × ways lines, and (0, 0) when there is no
+// rule), the records may number at most the sets, their set indices must
+// increase strictly and stay in range, and no record may be truncated, name
+// more valid ways than the cache has, or index a way out of range. Tags and
+// LRU stamps are not checked. Only then does it change the cache, which
+// keeps the rule, the bytes of the records — a sub-slice of r's, not a copy
+// — and the offset of each recorded set's record, and drops every set it
+// built; a rejected snapshot changes nothing. Each set is built the first
+// time Access or Probe reaches it, from its record if it has one and from
+// the rule otherwise, so the bytes must not change while the cache lives.
+// Where a record names a way twice, the last one wins.
 func (c *Cache) ReadState(r *snap.Reader) error {
 	stamp := r.U64()
+	line0, lines := r.U64(), r.U64()
+	count := r.U32()
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("%s state is truncated: %w", c.cfg.Name, err)
+	}
+	sets, ways := len(c.at), c.cfg.Ways
+	if lines > uint64(sets)*uint64(ways) || lines == 0 && line0 != 0 {
+		return fmt.Errorf("%w: %s prefill rule of %d lines from line %#x, in %d sets of %d ways",
+			snap.ErrCorrupt, c.cfg.Name, lines, line0, sets, ways)
+	}
+	if count > uint32(sets) {
+		return fmt.Errorf("%w: %s has %d set records for %d sets", snap.ErrCorrupt, c.cfg.Name, count, sets)
+	}
 	b := r.Tail()
-	ways := c.cfg.Ways
 	off := 0
-	for si := range c.at {
-		if off >= len(b) {
-			return fmt.Errorf("%w: %s set %d is truncated", snap.ErrCorrupt, c.cfg.Name, si)
+	var prev uint32
+	for k := range int(count) {
+		if off+recordHeadBytes > len(b) {
+			return fmt.Errorf("%w: %s record %d is truncated", snap.ErrCorrupt, c.cfg.Name, k)
 		}
-		n := int(b[off])
+		si := binary.LittleEndian.Uint32(b[off:])
+		if si >= uint32(sets) || k > 0 && si <= prev {
+			return fmt.Errorf("%w: %s record %d names set %d after set %d of %d",
+				snap.ErrCorrupt, c.cfg.Name, k, si, prev, sets)
+		}
+		prev = si
+		n := int(b[off+4])
 		if n > ways {
 			return fmt.Errorf("%w: %s set %d has %d valid ways of %d",
 				snap.ErrCorrupt, c.cfg.Name, si, n, ways)
 		}
-		off++
+		off += recordHeadBytes
 		end := off + n*wayRecordBytes
 		if end > len(b) {
 			return fmt.Errorf("%w: %s set %d is truncated", snap.ErrCorrupt, c.cfg.Name, si)
@@ -110,20 +162,21 @@ func (c *Cache) ReadState(r *snap.Reader) error {
 	}
 	r.Skip(off)
 	c.src = b[:off:off]
-	for si, rec := 0, 0; si < len(c.at); si++ {
-		c.at[si] = uint32(rec)
-		rec += 1 + int(b[rec])*wayRecordBytes
+	clear(c.at)
+	for rec := 0; rec < off; rec += recordHeadBytes + int(b[rec+4])*wayRecordBytes {
+		c.at[binary.LittleEndian.Uint32(b[rec:])] = uint32(rec) + 1
 	}
 	c.blocks, c.built, c.next = nil, 0, 0
-	c.pfLines = 0
+	c.pfLine0, c.pfLines = line0, lines
 	c.stamp = stamp
 	c.Stats = CacheStats{}
 	return nil
 }
 
-// decode writes into the cleared set the lines of the record at src[off].
+// decode writes into set the lines of the record at src[off].
 func (c *Cache) decode(set []line, off uint32) {
-	r := snap.NewReader(c.src[off:])
+	clear(set)
+	r := snap.NewReader(c.src[off+4:])
 	for n := r.U8(); n > 0; n-- {
 		wi := r.U8()
 		set[wi] = line{tag: r.U64(), lru: r.U64(), valid: true}

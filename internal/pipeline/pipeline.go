@@ -243,6 +243,9 @@ func (p *Pipeline) TEPStats() tep.Stats {
 	return tep.Stats{}
 }
 
+// Hierarchy exposes the cache hierarchy (diagnostics).
+func (p *Pipeline) Hierarchy() *mem.Hierarchy { return p.hier }
+
 // PrefillData installs a data range into the L2 (see mem.Hierarchy.Prefill).
 func (p *Pipeline) PrefillData(base, size uint64) {
 	p.hier.Prefill(base, size)

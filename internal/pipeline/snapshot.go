@@ -27,7 +27,8 @@ const snapshotMagic uint32 = 0x5456534e
 
 // SnapshotVersion is the wire-format version of SnapshotState; RestoreState
 // refuses any other. Bump it whenever the byte layout or the semantics of
-// restored state change.
+// restored state change. Version 2 records each cache's prefill rule and
+// only the sets that differ from it, where version 1 recorded every set.
 //
 // The geometry block excludes Config.Scheme (and the supply voltage, which
 // is not part of Config): a snapshot taken after a warmup at the nominal
@@ -36,7 +37,7 @@ const snapshotMagic uint32 = 0x5456534e
 // no-ops, and issue-selection policies order identical candidate sets
 // identically — which is exactly what lets one checkpoint serve every
 // (scheme, VDD) cell of a sweep.
-const SnapshotVersion uint32 = 1
+const SnapshotVersion uint32 = 2
 
 // ErrSnapshotUnsupported wraps every refusal to snapshot or restore that is
 // a property of the machine's configuration rather than corrupt bytes.
@@ -189,10 +190,11 @@ func (p *Pipeline) SnapshotState() ([]byte, error) {
 // warmup boundary: a restored machine behaves exactly like one that just
 // finished WarmupContext.
 //
-// The caches validate every set record of b here but decode none: they keep
-// a reference to b and decode each set the first time it is reached. b must
-// therefore not change while the machine lives; concurrent restores may
-// share it, since nothing writes to it.
+// The caches validate their prefill rules and every set record of b here
+// but decode none: they keep a reference to b and build each set the first
+// time it is reached, from its record or the rule. b must therefore not
+// change while the machine lives; concurrent restores may share it, since
+// nothing writes to it.
 func (p *Pipeline) RestoreState(b []byte) error {
 	if err := p.CheckDrained(); err != nil {
 		return fmt.Errorf("pipeline: restore into a non-drained machine: %w", err)

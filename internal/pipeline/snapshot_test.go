@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -199,6 +200,12 @@ func TestSnapshotRefusals(t *testing.T) {
 	bad[4] ^= 0xff
 	if err := p2.RestoreState(bad); !errors.Is(err, ErrSnapshotUnsupported) {
 		t.Fatalf("bad version: got %v", err)
+	}
+	// Version 1 recorded every cache set and no prefill rule; this build
+	// reads neither that layout nor its meaning.
+	binary.LittleEndian.PutUint32(bad[4:], 1)
+	if err := p2.RestoreState(bad); !errors.Is(err, ErrSnapshotUnsupported) {
+		t.Fatalf("version 1 snapshot: got %v", err)
 	}
 	little := LittleConfig()
 	little.MispredictRate = prof.MispredictRate

@@ -118,9 +118,10 @@ type Config struct {
 	// entries). Snapshots are keyed by tvsched.Session.WarmKey — workload,
 	// seed, warmup length and machine geometry, but not scheme or VDD — so
 	// one entry serves every cell of a scheme×voltage sweep. They are far
-	// larger than response bodies: 321 KB to 1.2 MB of cache, predictor and
-	// generator state over the bundled benchmarks at 20k and 120k warmups,
-	// hence the separate, much smaller bound.
+	// larger than response bodies: 73 to 831 KB of cache, predictor and
+	// generator state over the bundled benchmarks at 20k and 120k warmups
+	// (73–284 KB at 20k, where the L2's prefill rule stands for most of its
+	// sets), hence the separate, much smaller bound.
 	SnapshotEntries int
 	// MaxInstructions caps the per-request measured phase (default 2e6);
 	// longer requests are refused with 400 rather than hogging a worker.

@@ -11,6 +11,7 @@ import (
 
 	"tvsched/internal/core"
 	"tvsched/internal/fault"
+	"tvsched/internal/mem"
 	"tvsched/internal/pipeline"
 	"tvsched/internal/workload"
 )
@@ -46,8 +47,12 @@ func loopPrefilled(t *testing.T, cfg Config) *Session {
 
 // TestPrefillRuleMatchesLoop pins that a session whose L2 New prefills by
 // rule is the machine the per-line prefill loop builds: every lifecycle
-// yields identical statistics, donors identical snapshots, and a restore
-// replaces either L2 with the snapshot's.
+// yields identical statistics, and donors hold the same lines in every set
+// of every cache. Their snapshots differ — the ruled donor's carries its L2's
+// rule and records only the sets that differ from it, the loop-prefilled
+// L2 has no rule and records every set it holds — but either restores into
+// a fresh session over either L2 as the same machine: it holds the donors'
+// lines, snapshots to its donor's bytes, and runs alike.
 func TestPrefillRuleMatchesLoop(t *testing.T) {
 	ctx := context.Background()
 	cfg := Config{Benchmark: "mcf", Scheme: core.ABS, VDD: fault.VHighFault, Warmup: 3000, Seed: 5}
@@ -88,7 +93,19 @@ func TestPrefillRuleMatchesLoop(t *testing.T) {
 		}
 	}
 
+	// sameLines compares every set of every cache of s with the ruled
+	// donor's, each unbuilt set as it would be built.
+	var donors [2]*Session
 	var snaps [2][]byte
+	sameLines := func(s *Session, what string) {
+		t.Helper()
+		want, got := donors[0].p.Hierarchy(), s.p.Hierarchy()
+		for _, c := range [][2]*mem.Cache{{got.L1I, want.L1I}, {got.L1D, want.L1D}, {got.L2, want.L2}} {
+			if d := c[0].FirstDifferentSet(c[1]); d >= 0 {
+				t.Fatalf("%s: %s set %d differs from the ruled donor's", what, c[0].Config().Name, d)
+			}
+		}
+	}
 	for i, loop := range []bool{false, true} {
 		s := build(loop)
 		if err := s.WarmupNeutral(ctx); err != nil {
@@ -98,36 +115,43 @@ func TestPrefillRuleMatchesLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snaps[i] = b
+		donors[i], snaps[i] = s, b
 	}
-	if !bytes.Equal(snaps[0], snaps[1]) {
-		t.Fatal("the prefill rule changed the donor snapshot")
+	sameLines(donors[1], "the loop-prefilled donor")
+	if len(snaps[0]) >= len(snaps[1]) {
+		t.Errorf("the ruled donor's snapshot is %d bytes, the loop-prefilled one's %d: the rule should stand for the sets nobody changed",
+			len(snaps[0]), len(snaps[1]))
 	}
 
-	// The snapshot defines every L2 set, so Restore replaces the rule as it
-	// replaces the sets the loop built: both restored machines snapshot to
-	// the donor's bytes and run alike.
-	var stats [2]pipeline.Stats
-	for i, loop := range []bool{false, true} {
-		s := build(loop)
-		if err := s.Restore(snaps[0]); err != nil {
-			t.Fatal(err)
+	// Restore replaces the rule New recorded, and the sets the loop built,
+	// with the snapshot's rule and records.
+	var stats []pipeline.Stats
+	for d, donor := range snaps {
+		for _, loop := range []bool{false, true} {
+			what := fmt.Sprintf("donor %d restored over a prefilled L2 (loop %t)", d, loop)
+			s := build(loop)
+			if err := s.Restore(donor); err != nil {
+				t.Fatal(err)
+			}
+			sameLines(s, what)
+			b, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b, donor) {
+				t.Fatalf("%s: the session does not snapshot to its donor's bytes", what)
+			}
+			st, err := s.Run(ctx, 4000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats = append(stats, st)
 		}
-		b, err := s.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(b, snaps[0]) {
-			t.Fatalf("restored over a prefilled L2 (loop %t), the session does not snapshot to its donor's bytes", loop)
-		}
-		st, err := s.Run(ctx, 4000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats[i] = st
 	}
-	if !reflect.DeepEqual(stats[0], stats[1]) {
-		t.Errorf("restored run differs over a ruled and a loop-prefilled L2:\n got %+v\nwant %+v", stats[0], stats[1])
+	for i := range stats {
+		if !reflect.DeepEqual(stats[i], stats[0]) {
+			t.Errorf("restored run %d differs from restored run 0:\n got %+v\nwant %+v", i, stats[i], stats[0])
+		}
 	}
 }
 

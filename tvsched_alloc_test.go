@@ -86,18 +86,22 @@ func TestRestoredCellAllocBytes(t *testing.T) {
 
 // TestDonorAllocBytes pins the bytes a donor allocates: NewSession, a 20k
 // WarmupNeutral and Snapshot, on a (benchmark, seed) whose program image is
-// already cached — a warm group's donor or a served miss. New prefills the
-// L2 by rule, so the donor builds only the L2 sets its warmup reaches, and
-// Snapshot writes one buffer of the snapshot's final length. mcf (a 4 MB
-// warm region) stays under 3 MB and sjeng (1 MB) under 1.5 MB (1.8 and
-// 0.7 MB measured); a donor that built every L2 set and grew its snapshot
-// by append took 9.5 and 4.7 MB.
+// already cached — a warm group's donor or a served miss — and the length
+// of its snapshot. New prefills the L2 by rule, so the donor builds only the
+// L2 sets its warmup reaches, and Snapshot records the rule and only the
+// sets that differ from it, in one buffer of the snapshot's final length.
+// mcf (a 4 MB warm region) stays under 1.5 MB with a snapshot of at most
+// 320 KB, and sjeng (1 MB) under 0.75 MB and 120 KB (0.98 MB and 240 KB,
+// 0.44 MB and 74 KB measured). A snapshot of every L2 set took 1,134 and
+// 339 KB, and its donor 1.84 and 0.70 MB; a donor that also built every L2
+// set and grew its snapshot by append took 9.5 and 4.7 MB.
 func TestDonorAllocBytes(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
-		bench string
-		maxMB float64
-	}{{"mcf", 3}, {"sjeng", 1.5}} {
+		bench     string
+		maxMB     float64
+		maxSnapKB int
+	}{{"mcf", 1.5, 320}, {"sjeng", 0.75, 120}} {
 		cfg := tvsched.Config{Benchmark: tc.bench, Scheme: tvsched.ABS, VDD: tvsched.VHighFault,
 			Instructions: 8000, Warmup: 20000, Seed: 1}
 		if _, err := tvsched.NewSession(cfg); err != nil { // caches the image
@@ -120,7 +124,10 @@ func TestDonorAllocBytes(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
 		if mb > tc.maxMB {
-			t.Errorf("%s donor allocated %.2f MB, want <= %.1f", tc.bench, mb, tc.maxMB)
+			t.Errorf("%s donor allocated %.2f MB, want <= %.2f", tc.bench, mb, tc.maxMB)
+		}
+		if kb := len(snap.Data) / 1024; kb > tc.maxSnapKB {
+			t.Errorf("%s snapshot is %d KB, want <= %d", tc.bench, kb, tc.maxSnapKB)
 		}
 		if len(snap.Data) != cap(snap.Data) {
 			t.Errorf("%s snapshot: %d bytes in a buffer of %d, want no spare capacity", tc.bench, len(snap.Data), cap(snap.Data))
