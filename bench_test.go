@@ -537,8 +537,9 @@ func BenchmarkCycleLoop(b *testing.B) {
 // WarmupNeutral and Snapshot on mcf, whose program image is cached before
 // the timer starts, as a sweep's or a served miss's donor finds it. Its B/op
 // and snapshot-KB, the snapshot's length, are what TestDonorAllocBytes
-// bounds: about 1 MB and 240 KB, since the snapshot records the L2's prefill
-// rule and only the sets the warmup changed.
+// bounds: about 0.48 MB and 118 KB, since the snapshot records the L2's
+// prefill rule and only the sets the warmup changed, and a set is a word per
+// way (1.02 MB and 240 KB while a way was a 24-byte line record).
 func BenchmarkDonor(b *testing.B) {
 	ctx := context.Background()
 	cfg := tvsched.Config{Benchmark: "mcf", Scheme: tvsched.ABS, VDD: tvsched.VHighFault,

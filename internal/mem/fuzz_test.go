@@ -25,7 +25,7 @@ func FuzzCacheReadState(f *testing.F) {
 	}
 	good := cacheBytes(h.L2)
 	f.Add(good)
-	for _, n := range []int{0, 8, 24, stateHeadBytes, stateHeadBytes + recordHeadBytes, len(good) / 2, len(good) - 1} {
+	for _, n := range []int{0, 8, 16, stateHeadBytes, stateHeadBytes + recordHeadBytes, len(good) / 2, len(good) - 1} {
 		f.Add(good[:n])
 	}
 

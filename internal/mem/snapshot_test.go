@@ -61,20 +61,17 @@ func TestCacheSnapshotCorrupt(t *testing.T) {
 	if err := c.ReadState(snap.NewReader([]byte{0, 1, 2})); !errors.Is(err, snap.ErrCorrupt) {
 		t.Fatalf("truncated snapshot: err = %v, want snap.ErrCorrupt", err)
 	}
-	// An out-of-range way count must be rejected.
+	// A line count above the associativity must be rejected.
 	var w snap.Writer
-	w.U64(1)  // stamp
 	w.U64(0)  // rule: none
 	w.U64(0)  //
 	w.U32(1)  // one record
 	w.U32(0)  // of set 0
-	w.U8(200) // way count far above associativity
-	w.U8(0)   // one way record, so the record itself is not truncated
-	w.U64(1)  //
-	w.U64(1)  //
+	w.U8(200) // line count far above associativity
+	w.U64(1)  // one tag, so the record's head is not truncated
 	c2 := NewCache(DefaultHierarchy().L1D)
 	if err := c2.ReadState(snap.NewReader(w.B)); !errors.Is(err, snap.ErrCorrupt) {
-		t.Fatalf("bogus way count: err = %v, want snap.ErrCorrupt", err)
+		t.Fatalf("bogus line count: err = %v, want snap.ErrCorrupt", err)
 	}
 }
 
@@ -132,31 +129,37 @@ func TestResetForgetsSnapshot(t *testing.T) {
 // caches returns the hierarchy's caches in snapshot order.
 func (h *Hierarchy) caches() []*Cache { return []*Cache{h.L1I, h.L1D, h.L2} }
 
-// eachSet calls f with every set of c in index order, a set not built yet
-// as it would be built, in a scratch set f must not keep. It builds no set.
-func eachSet(c *Cache, f func(set []line)) {
-	scratch := make([]line, c.cfg.Ways)
+// eachSet calls f with the words of every set of c in index order, a set
+// not built yet as it would be built, in a scratch set f must not keep. It
+// builds no set.
+func eachSet(c *Cache, f func(set []uint64)) {
+	scratch := make([]uint64, c.cfg.Ways)
 	for i := range c.at {
 		f(c.view(i, scratch))
 	}
 }
 
-// appendFull is AppendState as it was before a snapshot recorded only the
-// sets that differ from the prefill rule (wire version 1): the stamp, then
-// every set in index order, as its valid-way count and the valid lines in
-// way order. It encodes what Access and Probe see, whatever rule the cache
-// holds its lines by, and is the reference the snapshot codec is held to.
+// appendFull is AppendState without the prefill rule: no rule, and a record
+// of every set in index order, its lines' tags most recent first. It encodes
+// what Access and Probe see, whatever rule the cache holds its lines by, and
+// is the reference the snapshot codec is held to; ReadState accepts its
+// bytes.
 func appendFull(c *Cache, w *snap.Writer) {
-	w.U64(c.stamp)
-	eachSet(c, func(set []line) {
-		w.U8(uint8(validWays(set)))
-		for wi := range set {
-			if set[wi].valid {
-				w.U8(uint8(wi))
-				w.U64(set[wi].tag)
-				w.U64(set[wi].lru)
-			}
+	w.U64(0)
+	w.U64(0)
+	w.U32(uint32(c.NumSets()))
+	i := 0
+	eachSet(c, func(set []uint64) {
+		n := len(set)
+		for n > 0 && set[n-1] == 0 {
+			n--
 		}
+		w.U32(uint32(i))
+		w.U8(uint8(n))
+		for _, word := range set[:n] {
+			w.U64(word - 1)
+		}
+		i++
 	})
 }
 
@@ -174,10 +177,10 @@ func cacheBytes(c *Cache) []byte {
 
 // eagerReadState is the reference decoder of one cache's snapshot state: it
 // installs the rule, builds every set of the cache from it, then decodes
-// each record over its set, validating each field as it reads it and
-// failing part-way through on a bad one. ReadState is held to it.
+// each record over its set, its tags plus one from the first way on,
+// validating each field as it reads it and failing part-way through on a
+// bad one. ReadState is held to it.
 func eagerReadState(c *Cache, r *snap.Reader) error {
-	c.stamp = r.U64()
 	line0, lines := r.U64(), r.U64()
 	count := int(r.U32())
 	if err := r.Err(); err != nil {
@@ -205,16 +208,12 @@ func eagerReadState(c *Cache, r *snap.Reader) error {
 		}
 		prev = si
 		if n > ways {
-			return fmt.Errorf("%w: %s set %d has %d valid ways of %d", snap.ErrCorrupt, c.cfg.Name, si, n, ways)
+			return fmt.Errorf("%w: %s set %d holds %d lines in %d ways", snap.ErrCorrupt, c.cfg.Name, si, n, ways)
 		}
 		set := c.set(uint64(si))
 		clear(set)
-		for range n {
-			wi := int(r.U8())
-			if wi >= ways {
-				return fmt.Errorf("%w: %s way index %d out of range", snap.ErrCorrupt, c.cfg.Name, wi)
-			}
-			set[wi] = line{tag: r.U64(), lru: r.U64(), valid: true}
+		for k := range n {
+			set[k] = r.U64() + 1
 		}
 	}
 	c.Stats = CacheStats{}
@@ -243,18 +242,22 @@ func hierarchyBytes(h *Hierarchy) []byte {
 type field struct{ off, size int }
 
 // stateFields are where the fields of a well-formed hierarchy snapshot lie,
-// by kind. stamps holds the caches' stamp counters and every line's LRU
-// stamp; recs holds, for each record, the field of its set index and the
-// set index field of the record before it in the same cache ({-1, 0} for a
-// cache's first record) with the cache's set count.
+// by kind: the rules, the record counts, the records' set indices and line
+// counts, and the tags. recs holds, for each record, its fields and the set
+// index field of the record before it in the same cache ({-1, 0} for a
+// cache's first record).
 type stateFields struct {
-	rules, counts, sets, ways, wayIdx, tags, stamps []field
-	recs                                            []recordField
+	rules, counts, sets, lens, tags []field
+	recs                            []recordField
 }
 
+// A recordField is one record of a cache of numSets sets of ways ways: its
+// set index field, its line count field, the set index field of the record
+// before it, and the offset just past its last tag.
 type recordField struct {
-	index, prev field
-	numSets     int
+	index, lines, prev field
+	end                int
+	numSets, ways      int
 }
 
 // snapshotFields parses a well-formed hierarchy snapshot into its fields.
@@ -270,7 +273,6 @@ func snapshotFields(cfg HierarchyConfig, b []byte) stateFields {
 	}
 	for _, cc := range []CacheConfig{cfg.L1I, cfg.L1D, cfg.L2} {
 		numSets := cc.SizeBytes / (cc.Ways * cc.LineBytes)
-		f.stamps = append(f.stamps, take(8))
 		f.rules = append(f.rules, take(16))
 		n := int(binary.LittleEndian.Uint32(b[off:]))
 		f.counts = append(f.counts, take(4))
@@ -278,15 +280,14 @@ func snapshotFields(cfg HierarchyConfig, b []byte) stateFields {
 		for range n {
 			idx := take(4)
 			f.sets = append(f.sets, idx)
-			f.recs = append(f.recs, recordField{idx, prev, numSets})
-			prev = idx
-			ways := int(b[off])
-			f.ways = append(f.ways, take(1))
-			for range ways {
-				f.wayIdx = append(f.wayIdx, take(1))
-				f.tags = append(f.tags, take(8))
-				f.stamps = append(f.stamps, take(8))
+			lines := int(b[off])
+			lf := take(1)
+			f.lens = append(f.lens, lf)
+			for range lines {
+				f.tags = append(f.tags, take(tagBytes))
 			}
+			f.recs = append(f.recs, recordField{idx, lf, prev, off, numSets, cc.Ways})
+			prev = idx
 		}
 	}
 	return f
@@ -295,10 +296,11 @@ func snapshotFields(cfg HierarchyConfig, b []byte) stateFields {
 // TestReadStateMatchesEagerDecoder corrupts hierarchy snapshots of random
 // access mixes, with and without a prefill rule in the L2, and holds
 // ReadState to the eager reference decoder. A corruption flips one byte of
-// a rule, a record count, a set index, a way count, a way index, a tag or an
-// LRU stamp; sets a set index to the one before it (repeated), below it
-// (descending) or past the last set (out of range); or truncates the
-// snapshot. ReadState must accept exactly the snapshots the reference
+// a rule, a record count, a set index, a line count or a tag; sets a set
+// index to the one before it (repeated), below it (descending) or past the
+// last set (out of range); sets a line count above the ways; empties a
+// record (line count 0, its tags cut out); truncates a record; or truncates
+// the snapshot. ReadState must accept exactly the snapshots the reference
 // accepts and consume as many bytes, and must leave a cache whose state it
 // rejects unchanged. For each accepted snapshot, the lines (appendFull) and
 // the AppendState bytes must be the reference's before any access and after
@@ -343,17 +345,17 @@ func TestReadStateMatchesEagerDecoder(t *testing.T) {
 			mix(donor, 3000)
 			good := hierarchyBytes(donor)
 			fs := snapshotFields(cfg, good)
-			kinds := [][]field{fs.rules, fs.counts, fs.sets, fs.ways, fs.wayIdx, fs.tags, fs.stamps}
+			kinds := [][]field{fs.rules, fs.counts, fs.sets, fs.lens, fs.tags}
 
 			var accepted, rejected, reencoded int
 			for i := 0; i < corruptions; i++ {
 				b := bytes.Clone(good)
-				switch k := src.Intn(len(kinds) + 2); {
+				rec := fs.recs[src.Intn(len(fs.recs))]
+				switch k := src.Intn(len(kinds) + 5); {
 				case k < len(kinds):
 					f := kinds[k][src.Intn(len(kinds[k]))]
 					b[f.off+src.Intn(f.size)] ^= byte(1 + src.Intn(255))
 				case k == len(kinds):
-					rec := fs.recs[src.Intn(len(fs.recs))]
 					prev := -1
 					if rec.prev.off >= 0 {
 						prev = int(binary.LittleEndian.Uint32(b[rec.prev.off:]))
@@ -368,6 +370,12 @@ func TestReadStateMatchesEagerDecoder(t *testing.T) {
 						idx = rec.numSets + src.Intn(3)
 					}
 					binary.LittleEndian.PutUint32(b[rec.index.off:], uint32(idx))
+				case k == len(kinds)+1: // more lines than ways
+					b[rec.lines.off] = byte(rec.ways + 1 + src.Intn(255-rec.ways))
+				case k == len(kinds)+2: // emptied: equal to an empty rule set
+					b = append(b[:rec.lines.off:rec.lines.off], append([]byte{0}, b[rec.end:]...)...)
+				case k == len(kinds)+3: // a truncated record
+					b = b[:rec.index.off+src.Intn(rec.end-rec.index.off)]
 				default:
 					b = b[:src.Intn(len(b))]
 				}
@@ -416,7 +424,7 @@ func TestReadStateMatchesEagerDecoder(t *testing.T) {
 				}
 				same("after restore")
 				if !bytes.Equal(hierarchyBytes(lazy), b[:len(b)-lr.Rest()]) {
-					reencoded++ // repeated or unsorted way indices, or a record equal to its rule set
+					reencoded++ // a record equal to its rule set
 				}
 				for k := 0; k < 300; k++ {
 					a, inst := src.Uint64n(span), src.Bool(0.2)
@@ -438,29 +446,41 @@ func TestReadStateMatchesEagerDecoder(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsBadWayInLastSet pins that ReadState validates every
-// record before it returns: a way index out of range in the L2's last set,
-// the last record of a hierarchy snapshot, fails the restore itself rather
+// TestRestoreRejectsBadLastRecord pins that ReadState validates every
+// record before it returns: a bad record of the L2's last set, the last
+// record of a hierarchy snapshot — a line count above the ways, a set index
+// past the last set, or a tag cut short — fails the restore itself rather
 // than the first access to reach that set, and leaves the L2 as it was.
-func TestRestoreRejectsBadWayInLastSet(t *testing.T) {
+func TestRestoreRejectsBadLastRecord(t *testing.T) {
 	cfg := DefaultHierarchy()
 	h := NewHierarchy(cfg)
 	h.DataAccess(0x1000)
 	h.DataAccess(uint64(h.L2.NumSets()-1) * uint64(cfg.L2.LineBytes)) // the last set's only line
-	b := hierarchyBytes(h)
-	b[len(b)-wayRecordBytes] = uint8(cfg.L2.Ways)
-
-	h2 := NewHierarchy(cfg)
-	h2.DataAccess(0x2000)
-	var before snap.Writer
-	h2.L2.AppendState(&before)
-	if err := h2.ReadState(snap.NewReader(b)); !errors.Is(err, snap.ErrCorrupt) {
-		t.Fatalf("restore with a bad way index in the last L2 set: err = %v, want snap.ErrCorrupt", err)
+	good := hierarchyBytes(h)
+	last := len(good) - tagBytes - recordHeadBytes // the last record: set index, line count, one tag
+	if got := binary.LittleEndian.Uint32(good[last:]); got != uint32(h.L2.NumSets()-1) || good[last+4] != 1 {
+		t.Fatalf("the last record is of set %d with %d lines, want the last set with 1", got, good[last+4])
 	}
-	var after snap.Writer
-	h2.L2.AppendState(&after)
-	if !bytes.Equal(before.B, after.B) {
-		t.Fatal("a rejected L2 snapshot changed the cache")
+	for _, tc := range []struct {
+		what    string
+		corrupt func(b []byte) []byte
+	}{
+		{"a line count above the ways", func(b []byte) []byte { b[last+4] = uint8(cfg.L2.Ways + 1); return b }},
+		{"a set index past the last set", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[last:], uint32(h.L2.NumSets()))
+			return b
+		}},
+		{"a truncated tag", func(b []byte) []byte { return b[:len(b)-1] }},
+	} {
+		h2 := NewHierarchy(cfg)
+		h2.DataAccess(0x2000)
+		before := cacheBytes(h2.L2)
+		if err := h2.ReadState(snap.NewReader(tc.corrupt(bytes.Clone(good)))); !errors.Is(err, snap.ErrCorrupt) {
+			t.Fatalf("restore with %s in the last L2 record: err = %v, want snap.ErrCorrupt", tc.what, err)
+		}
+		if !bytes.Equal(cacheBytes(h2.L2), before) {
+			t.Fatalf("a rejected L2 snapshot (%s) changed the cache", tc.what)
+		}
 	}
 }
 
@@ -471,7 +491,7 @@ func recordedSets(b []byte) []int {
 	off := stateHeadBytes
 	for range binary.LittleEndian.Uint32(b[stateHeadBytes-4:]) {
 		sets = append(sets, int(binary.LittleEndian.Uint32(b[off:])))
-		off += recordHeadBytes + int(b[off+4])*wayRecordBytes
+		off += recordHeadBytes + int(b[off+4])*tagBytes
 	}
 	return sets
 }
@@ -479,9 +499,9 @@ func recordedSets(b []byte) []int {
 // differingSets returns the indices of the sets of c that differ from their
 // rule set, and how many built sets equal theirs.
 func differingSets(c *Cache) (sets []int, builtAsRule int) {
-	rule := make([]line, c.cfg.Ways)
+	rule := make([]uint64, c.cfg.Ways)
 	i := 0
-	eachSet(c, func(set []line) {
+	eachSet(c, func(set []uint64) {
 		c.ruleSet(rule, uint64(i))
 		switch {
 		case !slices.Equal(set, rule):
@@ -502,8 +522,8 @@ func differingSets(c *Cache) (sets []int, builtAsRule int) {
 // has run, must hold the original's lines (appendFull) and snapshot to its
 // bytes; after 2,000 random accesses and probes on both, the hit/miss
 // sequence, the statistics and the lines must still agree, and
-// FirstDifferentSet must find no set that differs until one more access
-// reaches one cache alone. The bytes must be canonical, before and after:
+// FirstDifferentSet must find no set that differs until one more access, a
+// miss, reaches one cache alone. The bytes must be canonical, before and after:
 // they record exactly the sets that differ from their rule set, so a built
 // set that equals its rule set is not recorded, and StateLen gives their
 // length. Neither they nor ReadState build a set.
@@ -628,7 +648,10 @@ func TestSnapshotKeepsLogicalState(t *testing.T) {
 			t.Fatalf("trial %d (%s): FirstDifferentSet = %d for caches with the same lines", trial, start, d)
 		}
 		a := addr()
-		r.Access(a) // moves the set's LRU stamp or fills a way
+		for r.Probe(a) {
+			a = addr()
+		}
+		r.Access(a) // a miss: its line takes the front of the set
 		if got, want := r.FirstDifferentSet(c), int(a>>r.lineShift&r.setMask); got != want {
 			t.Fatalf("trial %d (%s): FirstDifferentSet = %d after an access to set %d alone", trial, start, got, want)
 		}

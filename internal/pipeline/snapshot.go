@@ -29,6 +29,8 @@ const snapshotMagic uint32 = 0x5456534e
 // refuses any other. Bump it whenever the byte layout or the semantics of
 // restored state change. Version 2 records each cache's prefill rule and
 // only the sets that differ from it, where version 1 recorded every set.
+// Version 3 records a set as its lines' tags in recency order, where
+// version 2 recorded a way index, a tag and an LRU stamp per line.
 //
 // The geometry block excludes Config.Scheme (and the supply voltage, which
 // is not part of Config): a snapshot taken after a warmup at the nominal
@@ -37,7 +39,7 @@ const snapshotMagic uint32 = 0x5456534e
 // no-ops, and issue-selection policies order identical candidate sets
 // identically — which is exactly what lets one checkpoint serve every
 // (scheme, VDD) cell of a sweep.
-const SnapshotVersion uint32 = 2
+const SnapshotVersion uint32 = 3
 
 // ErrSnapshotUnsupported wraps every refusal to snapshot or restore that is
 // a property of the machine's configuration rather than corrupt bytes.

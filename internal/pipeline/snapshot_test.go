@@ -201,11 +201,13 @@ func TestSnapshotRefusals(t *testing.T) {
 	if err := p2.RestoreState(bad); !errors.Is(err, ErrSnapshotUnsupported) {
 		t.Fatalf("bad version: got %v", err)
 	}
-	// Version 1 recorded every cache set and no prefill rule; this build
-	// reads neither that layout nor its meaning.
-	binary.LittleEndian.PutUint32(bad[4:], 1)
-	if err := p2.RestoreState(bad); !errors.Is(err, ErrSnapshotUnsupported) {
-		t.Fatalf("version 1 snapshot: got %v", err)
+	// Version 1 recorded every cache set and no prefill rule, and version 2
+	// a way index and an LRU stamp per line; this build reads neither.
+	for _, v := range []uint32{1, 2} {
+		binary.LittleEndian.PutUint32(bad[4:], v)
+		if err := p2.RestoreState(bad); !errors.Is(err, ErrSnapshotUnsupported) {
+			t.Fatalf("version %d snapshot: got %v", v, err)
+		}
 	}
 	little := LittleConfig()
 	little.MispredictRate = prof.MispredictRate

@@ -43,9 +43,10 @@ func TestNewSessionAllocs(t *testing.T) {
 // TestRestoredCellAllocBytes pins the bytes a restored cell allocates:
 // NewSession, Restore and an 8k-instruction Run over a donor snapshot taken
 // after a 120k-instruction neutral warmup, the size of a checkpointed
-// sweep's cells. A restored cell decodes only the cache sets it reaches, and
-// its caches locate sets through a 4-byte word per set (32 KB for the L2),
-// so it stays under 640 KB (493 and 479 KB measured).
+// sweep's cells. A restored cell decodes only the cache sets it reaches, its
+// caches locate sets through a 4-byte word per set (32 KB for the L2), and a
+// set is a word per way, so it stays under 400 KB (283 and 301 KB measured;
+// 493 and 479 KB while a way was a 24-byte line record).
 func TestRestoredCellAllocBytes(t *testing.T) {
 	ctx := context.Background()
 	for _, bench := range []string{"mcf", "xalancbmk"} {
@@ -77,8 +78,8 @@ func TestRestoredCellAllocBytes(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024
-		if kb > 640 {
-			t.Errorf("restored %s cell allocated %.0f KB, want <= 640", bench, kb)
+		if kb > 400 {
+			t.Errorf("restored %s cell allocated %.0f KB, want <= 400", bench, kb)
 		}
 		t.Logf("restored %s cell: NewSession + Restore + Run(8k) allocated %.0f KB", bench, kb)
 	}
@@ -89,19 +90,22 @@ func TestRestoredCellAllocBytes(t *testing.T) {
 // already cached — a warm group's donor or a served miss — and the length
 // of its snapshot. New prefills the L2 by rule, so the donor builds only the
 // L2 sets its warmup reaches, and Snapshot records the rule and only the
-// sets that differ from it, in one buffer of the snapshot's final length.
-// mcf (a 4 MB warm region) stays under 1.5 MB with a snapshot of at most
-// 320 KB, and sjeng (1 MB) under 0.75 MB and 120 KB (0.98 MB and 240 KB,
-// 0.44 MB and 74 KB measured). A snapshot of every L2 set took 1,134 and
-// 339 KB, and its donor 1.84 and 0.70 MB; a donor that also built every L2
-// set and grew its snapshot by append took 9.5 and 4.7 MB.
+// sets that differ from it, in one buffer of the snapshot's final length; a
+// set is a word per way, and a record a tag per line. mcf (a 4 MB warm
+// region) stays under 0.75 MB with a snapshot of at most 160 KB, and sjeng
+// (1 MB) under 0.40 MB and 68 KB (0.46 MB and 118 KB, 0.31 MB and 60 KB
+// measured). With a 24-byte line record per way and a way index, tag and
+// LRU stamp per recorded line, they took 0.98 MB and 240 KB, and 0.44 MB and
+// 74 KB; a snapshot of every L2 set took 1,134 and 339 KB, and its donor 1.84
+// and 0.70 MB; a donor that also built every L2 set and grew its snapshot by
+// append took 9.5 and 4.7 MB.
 func TestDonorAllocBytes(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		bench     string
 		maxMB     float64
 		maxSnapKB int
-	}{{"mcf", 1.5, 320}, {"sjeng", 0.75, 120}} {
+	}{{"mcf", 0.75, 160}, {"sjeng", 0.40, 68}} {
 		cfg := tvsched.Config{Benchmark: tc.bench, Scheme: tvsched.ABS, VDD: tvsched.VHighFault,
 			Instructions: 8000, Warmup: 20000, Seed: 1}
 		if _, err := tvsched.NewSession(cfg); err != nil { // caches the image
