@@ -20,6 +20,7 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "c", SizeBytes: 1024, Ways: 2, LineBytes: 48, Latency: 1}, // line not pow2
 		{Name: "d", SizeBytes: 3072, Ways: 2, LineBytes: 64, Latency: 1}, // sets not pow2
 		{Name: "e", SizeBytes: 1024, Ways: 2, LineBytes: 64, Latency: 0}, // latency
+		{Name: "f", SizeBytes: 4, Ways: 4, LineBytes: 1, Latency: 1},     // one set of 1-byte lines: tag 2^64-1 would be an empty way
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
