@@ -1,10 +1,13 @@
-// Package bpred implements the front-end branch prediction used by the
-// pipeline model: a gshare direction predictor, a direct-mapped branch target
-// buffer, and a return-address stack. The paper's Core-1 configuration has a
-// 10-stage misprediction loop from fetch to execute (§4.1); the predictor
-// here determines *when* that loop is paid. The global-history register it
-// maintains is also the history the Timing Error Predictor folds into its
-// index (§2.1.1).
+// Package bpred holds the front-end branch prediction state of the pipeline
+// model: a gshare direction predictor, a direct-mapped branch target buffer
+// and a return-address stack, and OracleNoise. The paper's Core-1
+// configuration has a 10-stage misprediction loop from fetch to execute
+// (§4.1). The trace-driven pipeline does not ask the predictor when that
+// loop is paid: OracleNoise charges a misprediction at the workload
+// profile's rate. The pipeline trains the gshare and BTB tables on every
+// branch, but reads only the global-history register, the history the
+// Timing Error Predictor folds into its index (§2.1.1); the tables'
+// predictions and the return-address stack reach no result.
 package bpred
 
 import "tvsched/internal/rng"
