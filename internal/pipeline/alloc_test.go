@@ -17,7 +17,7 @@ import (
 // The caches build a set the first time something reaches it, from the
 // prefill rule in the L2, so a window this short can still reach a set the
 // warmup did not (bzip2 and mcf each do). One probe per L2 set builds them
-// all before the window — a probe moves no LRU stamp and counts nothing —
+// all before the window — a probe changes no set and counts nothing —
 // so the window reads an exact 0, not one that AllocsPerRun's rounding hides.
 func TestCycleLoopZeroAlloc(t *testing.T) {
 	for _, bench := range []string{"bzip2", "mcf"} {

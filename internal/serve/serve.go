@@ -118,9 +118,9 @@ type Config struct {
 	// entries). Snapshots are keyed by tvsched.Session.WarmKey — workload,
 	// seed, warmup length and machine geometry, but not scheme or VDD — so
 	// one entry serves every cell of a scheme×voltage sweep. They are far
-	// larger than response bodies: 73 to 831 KB of cache, predictor and
+	// larger than response bodies: 46 to 411 KB of cache, predictor and
 	// generator state over the bundled benchmarks at 20k and 120k warmups
-	// (73–284 KB at 20k, where the L2's prefill rule stands for most of its
+	// (46–166 KB at 20k, where the L2's prefill rule stands for most of its
 	// sets), hence the separate, much smaller bound.
 	SnapshotEntries int
 	// MaxInstructions caps the per-request measured phase (default 2e6);

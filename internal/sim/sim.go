@@ -277,8 +277,9 @@ func (s *Session) Snapshot() ([]byte, error) {
 // — WarmKey captures exactly this compatibility class; the pipeline
 // additionally verifies geometry field by field. After Restore the session
 // behaves as if WarmupNeutral had just completed. The snapshot carries its
-// donor's L2 prefill rule and the sets that differ from it, and replaces
-// both the rule New recorded and any set built since.
+// donor's L2 prefill rule and the sets that differ from it, each as its
+// lines' tags in recency order, and replaces both the rule New recorded and
+// any set built since.
 //
 // The restored caches keep a reference to snapshot and decode each set from
 // it the first time the set is reached, so snapshot must not change while
