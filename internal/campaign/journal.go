@@ -1,38 +1,29 @@
 package campaign
 
 import (
-	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 	"sync"
+
+	"tvsched/internal/store"
 )
 
 // JournalSchema tags the header frame of a campaign journal file.
 const JournalSchema = "tvsched/campaign-journal/v1"
 
-// The journal is an append-only log of CRC-framed JSON payloads — the same
-// discipline as the persistent result store (internal/store): every frame is
-// `magic | payload length | CRC32(payload) | payload`, a torn or corrupted
-// tail is truncated back to the last intact frame on open, and nothing is
-// trusted until its checksum passes. The first frame is the header (schema,
-// plan hash, cell total, the full normalized spec — enough to rebuild the
-// plan with no side channel); every later frame is one completed cell: its
-// index, its provenance class, and the exact rendered NDJSON line bytes.
+// The journal is a store.Log of JSON payloads — the persistent result
+// store's crash discipline, magic "TVCJ": a torn or corrupted tail is cut
+// back to the last intact frame on open, and a frame is checked again
+// whenever it is read. The first frame is the header (schema, plan hash,
+// cell total, the full normalized spec — enough to rebuild the plan with no
+// side channel); every later frame is one completed cell: its index, its
+// provenance class, and the exact rendered NDJSON line bytes.
 //
 // Because the executor journals a cell at emission time — and emission is
 // strictly index-ascending — an intact journal always holds a prefix of the
 // report. Replaying that prefix verbatim and executing the rest is what makes
 // a resumed campaign byte-identical to an uninterrupted one.
-const (
-	journalMagic   = 0x5456434A // "TVCJ"
-	frameHeaderLen = 4 + 4 + 4
-	maxFrameLen    = 16 << 20 // sanity bound; one cell line is ~1 KiB
-)
 
 // ErrJournalMismatch reports a journal that belongs to a different plan than
 // the one being executed — resuming it would corrupt both campaigns.
@@ -58,13 +49,11 @@ type journalRecord struct {
 // safe for concurrent use; reads (ReadLine, Done) may run while the executor
 // appends.
 type Journal struct {
-	f    *os.File
-	w    *bufio.Writer
+	log  *store.Log
 	path string
 
 	hdr     journalHeader
 	mu      sync.Mutex
-	end     int64   // append offset
 	offsets []int64 // cell index → frame offset, -1 when absent
 	doneN   int
 	appends int // appends since the last fsync
@@ -88,21 +77,21 @@ func OpenJournal(path string, plan *Plan) (*Journal, error) {
 		j.offsets = newOffsets(plan.Total())
 		payload, err := json.Marshal(&j.hdr)
 		if err != nil {
-			j.f.Close()
+			j.log.Close()
 			return nil, err
 		}
-		if err := j.appendFrame(payload); err != nil {
-			j.f.Close()
+		if _, err := j.log.Append(payload); err != nil {
+			j.log.Close()
 			return nil, fmt.Errorf("campaign journal %s: %w", path, err)
 		}
-		if err := j.sync(); err != nil {
-			j.f.Close()
+		if err := j.log.Sync(); err != nil {
+			j.log.Close()
 			return nil, err
 		}
 		return j, nil
 	}
 	if j.hdr.Plan != plan.Hash() || j.hdr.Total != plan.Total() {
-		j.f.Close()
+		j.log.Close()
 		return nil, fmt.Errorf("%w: journal %s holds plan %s (%d cells), want %s (%d cells)",
 			ErrJournalMismatch, path, j.hdr.Plan, j.hdr.Total, plan.Hash(), plan.Total())
 	}
@@ -118,91 +107,56 @@ func LoadJournal(path string) (*Journal, *Plan, error) {
 		return nil, nil, err
 	}
 	if j.hdr.Schema == "" {
-		j.f.Close()
+		j.log.Close()
 		return nil, nil, fmt.Errorf("campaign journal %s: %w", path, errNoHeader)
 	}
 	plan, err := NewPlan(j.hdr.Spec)
 	if err != nil {
-		j.f.Close()
+		j.log.Close()
 		return nil, nil, fmt.Errorf("campaign journal %s: embedded spec: %w", path, err)
 	}
 	if plan.Hash() != j.hdr.Plan || plan.Total() != j.hdr.Total {
-		j.f.Close()
+		j.log.Close()
 		return nil, nil, fmt.Errorf("%w: journal %s header says %s (%d cells) but its spec plans %s (%d cells)",
 			ErrJournalMismatch, path, j.hdr.Plan, j.hdr.Total, plan.Hash(), plan.Total())
 	}
 	return j, plan, nil
 }
 
-// openJournalFile opens path and scans every intact frame, truncating the
-// torn tail. A missing or empty file (or one whose very first frame is
-// corrupt) comes back with a zero header for the caller to initialize.
+// openJournalFile opens path and indexes every intact frame, cutting the
+// torn tail. A missing or empty file (or one whose very first frame is not
+// a valid header) comes back empty, with a zero header for the caller to
+// initialize.
 func openJournalFile(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	j := &Journal{path: path}
+	log, err := store.OpenLog(path, store.JournalMagic, j.visit)
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{f: f, path: path}
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	r := bufio.NewReader(io.NewSectionReader(f, 0, size))
-	var off int64
-	for {
-		payload, n, err := readFrame(r, size-off)
-		if err != nil {
-			// Torn or corrupt tail: everything from off on is discarded.
-			j.Truncated = size - off
-			break
-		}
-		if off == 0 {
-			var hdr journalHeader
-			if err := json.Unmarshal(payload, &hdr); err != nil || hdr.Schema != JournalSchema || hdr.Total < 0 {
-				j.Truncated = size
-				break
-			}
-			j.hdr = hdr
-			j.offsets = newOffsets(hdr.Total)
-		} else {
-			var rec journalRecord
-			if err := json.Unmarshal(payload, &rec); err == nil &&
-				rec.Index >= 0 && rec.Index < len(j.offsets) && j.offsets[rec.Index] < 0 {
-				j.offsets[rec.Index] = off
-				j.doneN++
-			}
-		}
-		off += n
-		if off >= size {
-			break
-		}
-	}
-	if j.Truncated > 0 {
-		if err := f.Truncate(off); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	j.end = off
-	j.w = bufio.NewWriter(f)
-	if j.hdr.Schema == "" {
-		// Nothing intact: restart the file from byte zero.
-		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			f.Close()
-			return nil, err
-		}
-		j.end, j.doneN, j.offsets = 0, 0, nil
-	}
+	j.log, j.Truncated = log, log.Truncated
 	return j, nil
+}
+
+// visit indexes one intact frame of the open scan. It refuses a first frame
+// that is not a valid header, which cuts the whole file; a later frame with
+// bad JSON, or with an out-of-range or repeated index, is skipped.
+func (j *Journal) visit(off int64, payload []byte) bool {
+	if off == 0 {
+		var hdr journalHeader
+		if err := json.Unmarshal(payload, &hdr); err != nil || hdr.Schema != JournalSchema || hdr.Total < 0 {
+			return false
+		}
+		j.hdr = hdr
+		j.offsets = newOffsets(hdr.Total)
+		return true
+	}
+	var rec journalRecord
+	if err := json.Unmarshal(payload, &rec); err == nil &&
+		rec.Index >= 0 && rec.Index < len(j.offsets) && j.offsets[rec.Index] < 0 {
+		j.offsets[rec.Index] = off
+		j.doneN++
+	}
+	return true
 }
 
 func newOffsets(total int) []int64 {
@@ -213,60 +167,12 @@ func newOffsets(total int) []int64 {
 	return offs
 }
 
-// readFrame reads one frame from r, which has remain bytes left. It returns
-// the payload and the frame's total length, or an error for any torn or
-// corrupt frame.
-func readFrame(r *bufio.Reader, remain int64) ([]byte, int64, error) {
-	if remain < frameHeaderLen {
-		return nil, 0, io.ErrUnexpectedEOF
-	}
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, err
-	}
-	if binary.BigEndian.Uint32(hdr[0:4]) != journalMagic {
-		return nil, 0, errors.New("bad frame magic")
-	}
-	n := int64(binary.BigEndian.Uint32(hdr[4:8]))
-	if n > maxFrameLen || frameHeaderLen+n > remain {
-		return nil, 0, io.ErrUnexpectedEOF
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, 0, err
-	}
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[8:12]) {
-		return nil, 0, errors.New("frame checksum mismatch")
-	}
-	return payload, frameHeaderLen + n, nil
-}
-
-// appendFrame writes one framed payload and flushes the buffer, so the bytes
-// survive a SIGKILL of this process (fsync — surviving a machine crash — is
-// amortized; see Append). Callers hold mu (or have exclusive access).
-func (j *Journal) appendFrame(payload []byte) error {
-	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], journalMagic)
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(payload))
-	if _, err := j.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := j.w.Write(payload); err != nil {
-		return err
-	}
-	if err := j.w.Flush(); err != nil {
-		return err
-	}
-	j.end += int64(frameHeaderLen + len(payload))
-	return nil
-}
-
 // Append journals one completed cell: its index, provenance class, and the
 // exact line bytes the stream emitted (sans trailing newline). Duplicate
-// appends for a completed index are no-ops. Every append is flushed to the
-// kernel; an fsync lands every 64 appends and on Close, so a machine crash
-// costs at most a tail of re-runs, never a corrupt prefix.
+// appends for a completed index are no-ops. Every append is written to the
+// kernel, so it survives a SIGKILL of this process; an fsync lands every 64
+// appends and on Close, so a machine crash costs at most a tail of re-runs,
+// never a corrupt prefix.
 func (j *Journal) Append(index int, class Class, line []byte) error {
 	if index < 0 || index >= len(j.offsets) {
 		return fmt.Errorf("campaign journal %s: index %d out of range [0,%d)", j.path, index, len(j.offsets))
@@ -281,8 +187,8 @@ func (j *Journal) Append(index int, class Class, line []byte) error {
 	if j.offsets[index] >= 0 {
 		return nil
 	}
-	off := j.end
-	if err := j.appendFrame(payload); err != nil {
+	off, err := j.log.Append(payload)
+	if err != nil {
 		return fmt.Errorf("campaign journal %s: %w", j.path, err)
 	}
 	j.offsets[index] = off
@@ -290,7 +196,7 @@ func (j *Journal) Append(index int, class Class, line []byte) error {
 	j.appends++
 	if j.appends >= 64 {
 		j.appends = 0
-		return j.f.Sync()
+		return j.log.Sync()
 	}
 	return nil
 }
@@ -309,29 +215,11 @@ func (j *Journal) DoneCount() int {
 	return j.doneN
 }
 
-// Complete reports whether every cell is journaled.
-func (j *Journal) Complete() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.doneN == j.hdr.Total
-}
-
-// PlanHash returns the plan identity the journal belongs to.
-func (j *Journal) PlanHash() string { return j.hdr.Plan }
-
-// Spec returns the normalized campaign spec embedded in the header.
-func (j *Journal) Spec() Spec { return j.hdr.Spec }
-
-// Total returns the campaign's cell count.
-func (j *Journal) Total() int { return j.hdr.Total }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // ReadLine returns the journaled class and line bytes for one completed cell
-// index; ok is false when the cell has no record. Reads go through ReadAt, so
-// they are safe alongside concurrent appends (appends only ever add frames
-// past every published offset).
+// index; ok is false when the cell has no record. The frame is checked
+// again, so a record damaged since the journal opened is an error, never
+// replayed. Reads are safe alongside concurrent appends (appends only ever
+// add frames past every published offset).
 func (j *Journal) ReadLine(index int) (Class, []byte, bool, error) {
 	j.mu.Lock()
 	if index < 0 || index >= len(j.offsets) || j.offsets[index] < 0 {
@@ -341,14 +229,9 @@ func (j *Journal) ReadLine(index int) (Class, []byte, bool, error) {
 	off := j.offsets[index]
 	j.mu.Unlock()
 
-	var hdr [frameHeaderLen]byte
-	if _, err := j.f.ReadAt(hdr[:], off); err != nil {
-		return 0, nil, false, err
-	}
-	n := binary.BigEndian.Uint32(hdr[4:8])
-	payload := make([]byte, n)
-	if _, err := j.f.ReadAt(payload, off+frameHeaderLen); err != nil {
-		return 0, nil, false, err
+	payload, err := j.log.ReadAt(off)
+	if err != nil {
+		return 0, nil, false, fmt.Errorf("campaign journal %s: record at %d: %w", j.path, off, err)
 	}
 	var rec journalRecord
 	if err := json.Unmarshal(payload, &rec); err != nil {
@@ -357,29 +240,20 @@ func (j *Journal) ReadLine(index int) (Class, []byte, bool, error) {
 	return Class(rec.Class), []byte(rec.Line), true, nil
 }
 
-// sync flushes buffered frames and fsyncs. Callers hold mu (or have
-// exclusive access).
-func (j *Journal) sync() error {
-	if err := j.w.Flush(); err != nil {
-		return err
-	}
-	return j.f.Sync()
-}
-
-// Sync forces buffered frames to stable storage.
+// Sync forces appended frames to stable storage.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.sync()
+	return j.log.Sync()
 }
 
 // Close syncs and closes the file. The journal is unusable afterwards.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.sync(); err != nil {
-		j.f.Close()
+	if err := j.log.Sync(); err != nil {
+		j.log.Close()
 		return err
 	}
-	return j.f.Close()
+	return j.log.Close()
 }

@@ -1,15 +1,17 @@
 package campaign
 
 import (
-	"bufio"
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"tvsched/internal/resil/chaos"
+	"tvsched/internal/store"
 )
 
 func testPlan(t *testing.T) *Plan {
@@ -30,30 +32,23 @@ func lineFor(plan *Plan, i int) []byte {
 	return []byte(fmt.Sprintf(`{"index":%d,"digest":%q}`, i, plan.Cell(i).Config.Digest()[:12]))
 }
 
-// frameOffsets scans the journal file with the wire framing and returns each
-// intact frame's byte offset (the header frame included).
+// frameHeaderLen is the store.Log frame header: magic, payload length and
+// CRC-32.
+const frameHeaderLen = 12
+
+// frameOffsets scans the journal file's frames and returns each intact
+// frame's byte offset (the header frame included).
 func frameOffsets(t *testing.T, path string) []int64 {
 	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := bufio.NewReader(io.NewSectionReader(f, 0, size))
 	var offs []int64
-	var off int64
-	for off < size {
-		_, n, err := readFrame(r, size-off)
-		if err != nil {
-			break
-		}
+	log, err := store.OpenLog(path, store.JournalMagic, func(off int64, _ []byte) bool {
 		offs = append(offs, off)
-		off += n
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	log.Close()
 	return offs
 }
 
@@ -258,5 +253,53 @@ func TestJournalHeaderDestroyed(t *testing.T) {
 	}
 	if err := j2.Append(0, ClassCold, lineFor(plan, 0)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJournalReadLineVerifies rots one bit of a record after the journal
+// opened, where the line stays valid JSON and only the checksum can tell.
+// ReadLine must report the damage rather than hand back the changed line,
+// and Execute must fail before it replays that cell.
+func TestJournalReadLineVerifies(t *testing.T) {
+	plan := testPlan(t)
+	path := filepath.Join(t.TempDir(), "c.tvcj")
+	j, err := OpenJournal(path, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for i := 0; i < 3; i++ {
+		if err := j.Append(i, ClassCold, lineFor(plan, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := lineFor(plan, 1)
+	at := bytes.Index(blob, line)
+	if at < 0 {
+		t.Fatal("cell 1's line is not in the journal")
+	}
+	// Bit 0 of the first digest character keeps it a printable character.
+	at += bytes.Index(line, []byte(`"digest":"`)) + len(`"digest":"`)
+	if err := chaos.FlipBit(path, int64(at), 0); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, got, ok, err := j.ReadLine(1); !errors.Is(err, store.ErrCorrupt) || got != nil || ok {
+		t.Fatalf("ReadLine(1) of a rotted record: ok=%v err=%v line=%s; want ErrCorrupt and no bytes", ok, err, got)
+	}
+	var out bytes.Buffer
+	var execs atomic.Int64
+	if _, err := Execute(context.Background(), plan, j, fakeRunner(&execs), &out, Options{Workers: 1}); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("Execute over a rotted record: %v, want ErrCorrupt", err)
+	}
+	if want := string(lineFor(plan, 0)) + "\n"; out.String() != want {
+		t.Fatalf("Execute emitted %q, want only cell 0's line %q", out.String(), want)
 	}
 }

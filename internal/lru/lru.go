@@ -1,6 +1,7 @@
 // Package lru is a bounded, self-locking least-recently-used map: the memo
-// behind the result and snapshot flights (internal/resolve) and the
-// process-wide program-image cache (internal/sim).
+// behind the result and snapshot flights (internal/resolve), the
+// process-wide program-image cache (internal/sim) and the result store's
+// index (internal/store).
 package lru
 
 import (
@@ -42,6 +43,18 @@ func (c *LRU[K, V]) Get(key K) (V, bool) {
 		return zero, false
 	}
 	c.ll.MoveToFront(el)
+	return el.Value.(*entry[K, V]).val, true
+}
+
+// Peek returns the held value without refreshing the entry's recency.
+func (c *LRU[K, V]) Peek(key K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
 	return el.Value.(*entry[K, V]).val, true
 }
 

@@ -53,3 +53,24 @@ func TestLRUClampAndKeys(t *testing.T) {
 		t.Fatalf("keys %v after refresh, want a first", got)
 	}
 }
+
+// TestLRUPeek: Peek reads an entry without refreshing it, so the entry it
+// read is still the first one evicted.
+func TestLRUPeek(t *testing.T) {
+	c := New[string, int](2)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	if v, ok := c.Peek("a"); !ok || v != 1 {
+		t.Fatalf("Peek(a) = %d, %v; want 1, true", v, ok)
+	}
+	if _, ok := c.Peek("z"); ok {
+		t.Fatal("Peek found an absent key")
+	}
+	c.Put("c", 3)
+	if _, ok := c.Peek("a"); ok {
+		t.Fatal("a survived as if Peek had refreshed it")
+	}
+	if got := c.Keys(); len(got) != 2 || got[0] != "c" || got[1] != "b" {
+		t.Fatalf("keys %v, want [c b]", got)
+	}
+}

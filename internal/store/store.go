@@ -3,22 +3,21 @@
 // layer under internal/serve's in-memory LRU, so a result computed before a
 // restart or deploy is served afterwards without re-simulating.
 //
-// The on-disk format is a single append-only log (store.log). Every write
-// appends one self-describing record — magic, digest length, body length, a
-// CRC-32 over digest+body, then the digest and body bytes — and fsyncs
-// before the write is acknowledged, so an acknowledged Put survives a crash.
-// Open rebuilds the index by scanning the log; a torn or corrupt tail
-// (crash mid-append) is truncated at the last intact record rather than
-// failing the open, and the truncated byte count is reported so the caller
-// can log it.
+// The on-disk format is one Log (store.log) whose frames are records:
+// `u16 digest length | digest | body`. A Put appends one record and fsyncs
+// before it is acknowledged, so an acknowledged Put survives a crash. Open
+// rebuilds the index by scanning the log; a torn or corrupt tail (crash
+// mid-append) is cut at the last intact record rather than failing the
+// open, and the cut byte count is reported so the caller can log it.
 //
 // The store is bounded by bytes, not entries, because response bodies vary
 // in size. Recency is tracked like an LRU (Get refreshes), and when the log
 // file outgrows MaxBytes — from live data or from dead, superseded records —
-// the store compacts: live entries are rewritten coldest-first into a fresh
-// log (so a rebuild recovers the same recency order), dropping the coldest
-// entries while the live set exceeds the bound, and the new log atomically
-// replaces the old via rename.
+// the store compacts: the hottest entries that fit in half the bound are
+// rewritten coldest-first into a fresh log (so a rebuild recovers the same
+// recency order), the rest are dropped, and the new log atomically replaces
+// the old via rename. Keeping half the bound leaves half a bound of Puts
+// before the next compaction.
 //
 // The determinism contract makes digests true content addresses: two Puts
 // of one digest must carry identical bytes. Put with different bytes still
@@ -27,22 +26,24 @@
 package store
 
 import (
-	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"tvsched/internal/lru"
 )
 
 const (
 	logName = "store.log"
 	tmpName = "store.log.tmp"
 
-	recMagic  = 0x54565253 // "TVRS"
-	headerLen = 4 + 2 + 4 + 4
+	// headerLen is a record's fixed cost: the frame header and the digest
+	// length.
+	headerLen = frameHeaderLen + 2
 
 	maxDigestLen = 256
 	maxBodyLen   = 1 << 30
@@ -51,8 +52,9 @@ const (
 	DefaultMaxBytes = 256 << 20
 )
 
-// ErrCorrupt reports a record whose header or checksum failed verification
-// on Get — the entry is treated as lost, never served.
+// ErrCorrupt reports a frame whose magic, length or checksum, or a record
+// whose digest, failed verification on a read — the entry is treated as
+// lost, never served.
 var ErrCorrupt = errors.New("store: corrupt record")
 
 // Store is a bounded, crash-tolerant digest → bytes map. All methods are
@@ -61,11 +63,10 @@ type Store struct {
 	mu       sync.Mutex
 	dir      string
 	maxBytes int64
-	f        *os.File
-	size     int64      // log file length, dead records included
-	live     int64      // bytes of records the index still points at
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
+	log      *Log
+	live     int64 // bytes of records the index still points at
+	index    *lru.LRU[string, entry]
+	rec      []byte // Put's record, reused across Puts
 
 	// Truncated is the number of trailing bytes Open discarded as torn or
 	// corrupt. Read it once after Open (it is not updated afterwards).
@@ -73,10 +74,13 @@ type Store struct {
 }
 
 type entry struct {
-	key string
 	off int64
-	n   int64 // whole record length
+	n   int64 // whole record length, frame header included
 }
+
+// newIndex returns an empty index. It bounds no entries: the store bounds
+// bytes.
+func newIndex() *lru.LRU[string, entry] { return lru.New[string, entry](math.MaxInt) }
 
 // Open opens (creating if needed) the store in dir. maxBytes <= 0 takes
 // DefaultMaxBytes.
@@ -87,112 +91,75 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_RDWR|os.O_CREATE, 0o644)
+	s := &Store{dir: dir, maxBytes: maxBytes, index: newIndex()}
+	log, err := OpenLog(filepath.Join(dir, logName), StoreMagic, s.rebuild)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{
-		dir:      dir,
-		maxBytes: maxBytes,
-		f:        f,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
-	}
-	if err := s.rebuild(); err != nil {
-		f.Close()
-		return nil, err
-	}
+	s.log, s.Truncated = log, log.Truncated
 	return s, nil
 }
 
-// rebuild scans the log front to back, indexing every intact record (later
-// records are more recent; a digest appearing twice resolves to its last
-// record) and truncating the file at the first damaged one.
-func (s *Store) rebuild() error {
-	fi, err := s.f.Stat()
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
+// rebuild indexes one intact record of the open scan. Later records are
+// more recent; a digest appearing twice resolves to its last record.
+func (s *Store) rebuild(off int64, payload []byte) bool {
+	digest, ok := recordDigest(payload)
+	if !ok {
+		return false
 	}
-	total := fi.Size()
-	var off int64
-	for off < total {
-		key, n, err := s.readRecordAt(off, nil)
-		if err != nil {
-			break // torn tail: keep what we have, truncate the rest
-		}
-		if el, ok := s.items[key]; ok {
-			old := el.Value.(*entry)
-			s.live -= old.n
-			s.ll.Remove(el)
-		}
-		s.items[key] = s.ll.PushFront(&entry{key: key, off: off, n: n})
-		s.live += n
-		off += n
+	key := string(digest)
+	if old, ok := s.index.Peek(key); ok {
+		s.live -= old.n
 	}
-	if off < total {
-		s.Truncated = total - off
-		if err := s.f.Truncate(off); err != nil {
-			return fmt.Errorf("store: truncating torn tail: %w", err)
-		}
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-	s.size = off
-	return nil
+	n := int64(frameHeaderLen + len(payload))
+	s.index.Put(key, entry{off: off, n: n})
+	s.live += n
+	return true
 }
 
-// readRecordAt parses one record. With body non-nil the body bytes are
-// appended to *body; either way the digest and whole-record length return.
-func (s *Store) readRecordAt(off int64, body *[]byte) (string, int64, error) {
-	var hdr [headerLen]byte
-	if _, err := s.f.ReadAt(hdr[:], off); err != nil {
-		return "", 0, err
+// recordDigest returns the digest a record payload carries; the body is
+// the rest of the payload.
+func recordDigest(payload []byte) ([]byte, bool) {
+	if len(payload) < 2 {
+		return nil, false
 	}
-	magic := binary.LittleEndian.Uint32(hdr[0:4])
-	dlen := int(binary.LittleEndian.Uint16(hdr[4:6]))
-	blen := int(binary.LittleEndian.Uint32(hdr[6:10]))
-	sum := binary.LittleEndian.Uint32(hdr[10:14])
-	if magic != recMagic || dlen == 0 || dlen > maxDigestLen || blen > maxBodyLen {
-		return "", 0, ErrCorrupt
+	dlen := int(binary.BigEndian.Uint16(payload))
+	if dlen == 0 || dlen > maxDigestLen || 2+dlen > len(payload) {
+		return nil, false
 	}
-	payload := make([]byte, dlen+blen)
-	if _, err := s.f.ReadAt(payload, off+headerLen); err != nil {
-		return "", 0, err
+	return payload[2 : 2+dlen], true
+}
+
+// read returns the payload of digest's record at e, checked by the log and
+// against digest. Callers hold s.mu.
+func (s *Store) read(digest string, e entry) ([]byte, error) {
+	payload, err := s.log.ReadAt(e.off)
+	if err != nil {
+		return nil, err
 	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return "", 0, ErrCorrupt
+	if d, ok := recordDigest(payload); !ok || string(d) != digest {
+		return nil, ErrCorrupt
 	}
-	if body != nil {
-		*body = append(*body, payload[dlen:]...)
-	}
-	return string(payload[:dlen]), int64(headerLen + dlen + blen), nil
+	return payload, nil
 }
 
 // Get returns the stored bytes for digest and refreshes its recency.
 func (s *Store) Get(digest string) ([]byte, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.items[digest]
+	e, ok := s.index.Get(digest)
 	if !ok {
 		return nil, false, nil
 	}
-	e := el.Value.(*entry)
-	var body []byte
-	key, _, err := s.readRecordAt(e.off, &body)
-	if err != nil || key != digest {
+	payload, err := s.read(digest, e)
+	if err != nil {
 		// The record rotted under us (should not happen outside disk
 		// faults); drop it from the index rather than serving garbage.
-		s.ll.Remove(el)
-		delete(s.items, digest)
+		s.index.Remove(digest)
 		s.live -= e.n
-		if err == nil {
-			err = ErrCorrupt
-		}
 		return nil, false, fmt.Errorf("store: get %s: %w", digest, err)
 	}
-	s.ll.MoveToFront(el)
-	return body, true, nil
+	return payload[2+len(digest):], true, nil
 }
 
 // Put appends digest → body and fsyncs. Re-putting a known digest only
@@ -206,79 +173,73 @@ func (s *Store) Put(digest string, body []byte) error {
 	if len(body) > maxBodyLen {
 		return fmt.Errorf("store: body too large (%d bytes)", len(body))
 	}
+	n := int64(headerLen + len(digest) + len(body))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[digest]; ok {
-		e := el.Value.(*entry)
-		if e.n == int64(headerLen+len(digest)+len(body)) {
-			s.ll.MoveToFront(el)
-			return nil
-		}
-		// Different length ⇒ definitely different bytes: supersede.
-		s.ll.Remove(el)
-		delete(s.items, digest)
-		s.live -= e.n
+	old, had := s.index.Get(digest)
+	if had && old.n == n {
+		return nil
 	}
-	rec := make([]byte, headerLen, headerLen+len(digest)+len(body))
-	rec = append(rec, digest...)
-	rec = append(rec, body...)
-	binary.LittleEndian.PutUint32(rec[0:4], recMagic)
-	binary.LittleEndian.PutUint16(rec[4:6], uint16(len(digest)))
-	binary.LittleEndian.PutUint32(rec[6:10], uint32(len(body)))
-	binary.LittleEndian.PutUint32(rec[10:14], crc32.ChecksumIEEE(rec[headerLen:]))
-	off := s.size
-	if _, err := s.f.WriteAt(rec, off); err != nil {
+	s.rec = binary.BigEndian.AppendUint16(s.rec[:0], uint16(len(digest)))
+	s.rec = append(s.rec, digest...)
+	s.rec = append(s.rec, body...)
+	off, err := s.log.Append(s.rec)
+	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if err := s.f.Sync(); err != nil {
+	if err := s.log.Sync(); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	s.size += int64(len(rec))
-	s.live += int64(len(rec))
-	s.items[digest] = s.ll.PushFront(&entry{key: digest, off: off, n: int64(len(rec))})
-	if s.size > s.maxBytes {
+	if had { // different length ⇒ definitely different bytes: supersede
+		s.live -= old.n
+	}
+	s.index.Put(digest, entry{off: off, n: n})
+	s.live += n
+	if s.log.Size() > s.maxBytes {
 		return s.compactLocked()
 	}
 	return nil
 }
 
-// compactLocked rewrites the live set into a fresh log, dropping the
-// coldest entries while the live bytes exceed the bound, and atomically
-// swaps it in. Callers hold s.mu.
+// compactLocked rewrites the hottest entries that fit in half the bound
+// into a fresh log and atomically swaps it in; colder entries and dead
+// records are dropped. Callers hold s.mu.
 func (s *Store) compactLocked() error {
 	// Decide the survivors hottest-first, then write them coldest-first so
 	// a rebuild recovers the same recency order.
-	var survivors []*entry
+	keys := s.index.Keys()
 	var kept int64
-	for el := s.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		if kept+e.n > s.maxBytes && len(survivors) > 0 {
-			break // everything colder than this is evicted
+	for i, key := range keys {
+		e, _ := s.index.Peek(key)
+		if kept+e.n > s.maxBytes/2 && i > 0 {
+			keys = keys[:i] // everything colder than this is evicted
+			break
 		}
-		survivors = append(survivors, e)
 		kept += e.n
 	}
 	tmpPath := filepath.Join(s.dir, tmpName)
-	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	tmp, err := createLog(tmpPath, StoreMagic)
 	if err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
 	defer os.Remove(tmpPath) // no-op after a successful rename
-	var out int64
-	newOff := make([]int64, len(survivors))
-	for i := len(survivors) - 1; i >= 0; i-- { // coldest first
-		e := survivors[i]
-		rec := make([]byte, e.n)
-		if _, err := s.f.ReadAt(rec, e.off); err != nil {
+	index, live := newIndex(), int64(0)
+	for i := len(keys) - 1; i >= 0; i-- { // coldest first
+		e, _ := s.index.Peek(keys[i])
+		payload, err := s.read(keys[i], e)
+		if errors.Is(err, ErrCorrupt) {
+			continue // a rotted survivor is dropped, not copied
+		}
+		if err != nil {
 			tmp.Close()
 			return fmt.Errorf("store: compact: %w", err)
 		}
-		if _, err := tmp.WriteAt(rec, out); err != nil {
+		if e.off, err = tmp.Append(payload); err != nil {
 			tmp.Close()
 			return fmt.Errorf("store: compact: %w", err)
 		}
-		newOff[i] = out
-		out += e.n
+		index.Put(keys[i], e)
+		live += e.n
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -288,19 +249,8 @@ func (s *Store) compactLocked() error {
 		tmp.Close()
 		return fmt.Errorf("store: compact: %w", err)
 	}
-	s.f.Close()
-	s.f = tmp
-
-	// Rebuild the index over the survivors, preserving recency.
-	s.ll.Init()
-	s.items = make(map[string]*list.Element, len(survivors))
-	s.live = 0
-	for i := len(survivors) - 1; i >= 0; i-- { // coldest first: PushFront ends hottest-first
-		e := survivors[i]
-		s.items[e.key] = s.ll.PushFront(&entry{key: e.key, off: newOff[i], n: e.n})
-		s.live += e.n
-	}
-	s.size = out
+	s.log.Close()
+	s.log, s.index, s.live = tmp, index, live
 	return nil
 }
 
@@ -308,7 +258,7 @@ func (s *Store) compactLocked() error {
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ll.Len()
+	return s.index.Len()
 }
 
 // Bytes is the live record bytes (header overhead included).
@@ -322,16 +272,12 @@ func (s *Store) Bytes() int64 {
 func (s *Store) Keys() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := make([]string, 0, s.ll.Len())
-	for el := s.ll.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*entry).key)
-	}
-	return keys
+	return s.index.Keys()
 }
 
 // Close releases the log file handle. The store is unusable afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.f.Close()
+	return s.log.Close()
 }

@@ -120,7 +120,7 @@ func TestCorruptMiddleStopsScan(t *testing.T) {
 	if err := s.Put("first", []byte("aaaa")); err != nil {
 		t.Fatal(err)
 	}
-	firstEnd := s.size
+	firstEnd := s.log.Size()
 	if err := s.Put("second", []byte("bbbb")); err != nil {
 		t.Fatal(err)
 	}
@@ -167,9 +167,10 @@ func TestCompactionEvictsColdest(t *testing.T) {
 	if _, ok, _ := s.Get("key-01"); ok {
 		t.Fatal("coldest entry survived compaction")
 	}
-	for _, k := range []string{"key-00", "key-02", "key-03", "key-04", "key-05"} {
+	// The survivors are the hottest entries that fit in half the bound.
+	for _, k := range []string{"key-00", "key-05"} {
 		if _, ok, _ := s.Get(k); !ok {
-			t.Fatalf("%s evicted, want only the coldest gone", k)
+			t.Fatalf("%s evicted, want the hottest entries kept", k)
 		}
 	}
 	if s.Bytes() > 5*recLen {
@@ -180,8 +181,8 @@ func TestCompactionEvictsColdest(t *testing.T) {
 	// same set is present.
 	s.Close()
 	r := mustOpen(t, dir, 5*recLen)
-	if r.Len() != 5 {
-		t.Fatalf("reopened len %d, want 5", r.Len())
+	if r.Len() != 2 {
+		t.Fatalf("reopened len %d, want 2", r.Len())
 	}
 	if _, ok, _ := r.Get("key-00"); !ok {
 		t.Fatal("key-00 lost across compaction+reopen")
@@ -202,12 +203,56 @@ func TestCompactionDropsDeadBytes(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("len %d, want 1", s.Len())
 	}
-	if s.size > 4096 {
-		t.Fatalf("log size %d never compacted under bound 4096", s.size)
+	if s.log.Size() > 4096 {
+		t.Fatalf("log size %d never compacted under bound 4096", s.log.Size())
 	}
 	got, ok, err := s.Get("hot")
 	if err != nil || !ok || len(got) != 100+199%2 {
 		t.Fatalf("live entry lost after dead-byte compaction: ok=%v err=%v len=%d", ok, err, len(got))
+	}
+}
+
+// TestCompactionAmortized pins the half-bound rule: a compaction keeps at
+// most half the bound, so once the live set fills the bound, the Puts after
+// a compaction that add up to less than half the bound compact nothing. A
+// store that kept the whole bound would rewrite its log on every Put.
+func TestCompactionAmortized(t *testing.T) {
+	dir := t.TempDir()
+	const bound = 64 << 10
+	s := mustOpen(t, dir, bound)
+	body := bytes.Repeat([]byte("z"), 900)
+	key := func(i int) string { return fmt.Sprintf("%064x", i) }
+	path := filepath.Join(dir, logName)
+	stat := func() os.FileInfo {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+
+	// Fill until the first compaction swaps a fresh log in.
+	i, before := 0, stat()
+	for ; os.SameFile(before, stat()); i++ {
+		if i > 2*bound/len(body) {
+			t.Fatal("no compaction after twice the bound of Puts")
+		}
+		if err := s.Put(key(i), body); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	compacted := stat()
+	var added int64
+	for n := recordSize(key(i), body); added+n < bound/2; i++ {
+		if err := s.Put(key(i), body); err != nil {
+			t.Fatal(err)
+		}
+		added += n
+		if !os.SameFile(compacted, stat()) {
+			t.Fatalf("compacted again after %d bytes of Puts, want none before half the bound (%d)", added, bound/2)
+		}
 	}
 }
 

@@ -219,3 +219,42 @@ func TestCompactionRacesConcurrentGets(t *testing.T) {
 		t.Fatalf("hottest key %s lost across compactions: ok=%v err=%v", last, ok, err)
 	}
 }
+
+// TestCompactionDropsRottedSurvivor rots a hot record on disk after its
+// last read, then forces a compaction that keeps it. Compaction checks each
+// survivor again: the rotted one is dropped, not copied, so the compacted
+// log holds no damaged frame that would cut the records after it on the
+// next open.
+func TestCompactionDropsRottedSurvivor(t *testing.T) {
+	dir := t.TempDir()
+	body := bytes.Repeat([]byte("r"), 100)
+	recLen := recordSize("key-0", body)
+	s := mustOpen(t, dir, 4*recLen)
+	for i := 0; i < 4; i++ {
+		if err := s.Put(fmt.Sprintf("key-%d", i), body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok, err := s.Get("key-0"); !ok || err != nil { // key-0 is now second hottest
+		t.Fatalf("key-0: ok=%v err=%v", ok, err)
+	}
+	// key-0 is the log's first record; flip a bit of its body.
+	if err := chaos.FlipBit(filepath.Join(dir, logName), headerLen+int64(len("key-0"))+3, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("key-4", body); err != nil { // over the bound: compacts
+		t.Fatal(err)
+	}
+	if got, ok, err := s.Get("key-0"); ok || err != nil {
+		t.Fatalf("rotted key-0 after compaction: %q ok=%v err=%v, want a clean miss", got, ok, err)
+	}
+	s.Close()
+
+	r := mustOpen(t, dir, 4*recLen)
+	if r.Truncated != 0 {
+		t.Fatalf("the compacted log lost %d bytes on reopen", r.Truncated)
+	}
+	if got, ok, err := r.Get("key-4"); err != nil || !ok || !bytes.Equal(got, body) {
+		t.Fatalf("key-4 after compaction and reopen: ok=%v err=%v", ok, err)
+	}
+}
