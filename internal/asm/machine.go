@@ -16,7 +16,6 @@ type Machine struct {
 	regs [isa.NumArchRegs]uint64
 	mem  map[uint64]uint64
 
-	executed uint64
 	restarts uint64
 }
 
@@ -50,9 +49,6 @@ func (m *Machine) Poke(addr, v uint64) { m.mem[addr] = v }
 
 // Peek reads a memory word.
 func (m *Machine) Peek(addr uint64) uint64 { return m.mem[addr] }
-
-// Executed returns the number of instructions emitted so far.
-func (m *Machine) Executed() uint64 { return m.executed }
 
 // Restarts returns how many times the program wrapped (halt or fall-through).
 func (m *Machine) Restarts() uint64 { return m.restarts }
@@ -198,7 +194,6 @@ func (m *Machine) Step() isa.Inst {
 	}
 	in.NextPC = pcAddr(next)
 	m.pc = next
-	m.executed++
 	return in
 }
 

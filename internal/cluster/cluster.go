@@ -100,9 +100,6 @@ func NewRing(self string, peers []Peer) (*Ring, error) {
 // Peers returns the ring's peer list (sorted by ID, self excluded).
 func (r *Ring) Peers() []Peer { return r.peers }
 
-// Self returns this node's ID.
-func (r *Ring) Self() string { return r.self }
-
 // score is the rendezvous weight of one (node, digest) pair: FNV-64a over
 // the node ID, a separator that cannot appear in IDs parsed from id=url
 // pairs, and the digest.

@@ -66,32 +66,6 @@ type Run struct {
 	VDD    float64
 	Stats  pipeline.Stats
 	Energy energy.Result
-	// Phases holds per-phase measurements when the run was phased
-	// (SimulatePhased); empty for single-phase runs.
-	Phases []PhaseStat
-}
-
-// PhaseStat summarizes one measured phase of a phased run.
-type PhaseStat struct {
-	Cycles    uint64
-	Committed uint64
-	Faults    uint64
-}
-
-// IPC returns the phase's instructions per cycle.
-func (p *PhaseStat) IPC() float64 {
-	if p.Cycles == 0 {
-		return 0
-	}
-	return float64(p.Committed) / float64(p.Cycles)
-}
-
-// FaultRate returns the phase's violations per committed instruction.
-func (p *PhaseStat) FaultRate() float64 {
-	if p.Committed == 0 {
-		return 0
-	}
-	return float64(p.Faults) / float64(p.Committed)
 }
 
 // PerfOverhead returns r's relative IPC degradation versus base.
@@ -118,26 +92,12 @@ func (r *Run) EDOverhead(base *Run) float64 {
 // Simulate runs one (benchmark, scheme, voltage) combination as a single
 // measured phase.
 func Simulate(bench string, scheme core.Scheme, vdd float64, cfg Config) (Run, error) {
-	return SimulatePhasedContext(context.Background(), bench, scheme, vdd, cfg, 1)
+	return SimulateContext(context.Background(), bench, scheme, vdd, cfg)
 }
 
 // SimulateContext is Simulate with cancellation: the simulation stops within
 // 256 simulated cycles of ctx being done and returns the context's error.
 func SimulateContext(ctx context.Context, bench string, scheme core.Scheme, vdd float64, cfg Config) (Run, error) {
-	return SimulatePhasedContext(ctx, bench, scheme, vdd, cfg, 1)
-}
-
-// SimulatePhased splits the measured run into `phases` consecutive phases of
-// cfg.Insts/phases instructions each, mirroring the SimPoint methodology of
-// §4.2 (multiple representative phases per benchmark). The aggregate Run
-// covers all phases; per-phase IPC/fault-rate deltas ride along so callers
-// can see phase behaviour and variance.
-func SimulatePhased(bench string, scheme core.Scheme, vdd float64, cfg Config, phases int) (Run, error) {
-	return SimulatePhasedContext(context.Background(), bench, scheme, vdd, cfg, phases)
-}
-
-// SimulatePhasedContext is SimulatePhased with cancellation.
-func SimulatePhasedContext(ctx context.Context, bench string, scheme core.Scheme, vdd float64, cfg Config, phases int) (Run, error) {
 	observer := cfg.Observer
 	if s, ok := cfg.Observer.(obs.Sharder); ok {
 		sh := s.Shard()
@@ -159,35 +119,9 @@ func SimulatePhasedContext(ctx context.Context, bench string, scheme core.Scheme
 	if err := sess.Warmup(ctx); err != nil {
 		return Run{}, err
 	}
-	if phases < 1 {
-		phases = 1
-	}
-	per := cfg.Insts / uint64(phases)
-	if per == 0 {
-		per = 1
-	}
-	var (
-		st        pipeline.Stats
-		phaseList []PhaseStat
-		prev      pipeline.Stats
-	)
-	for i := 0; i < phases; i++ {
-		n := per
-		if i == phases-1 {
-			n = cfg.Insts - per*uint64(phases-1) // remainder into the last phase
-		}
-		st, err = sess.Run(ctx, n)
-		if err != nil {
-			return Run{}, err
-		}
-		if phases > 1 {
-			phaseList = append(phaseList, PhaseStat{
-				Cycles:    st.Cycles - prev.Cycles,
-				Committed: st.Committed - prev.Committed,
-				Faults:    st.Faults - prev.Faults,
-			})
-			prev = st
-		}
+	st, err := sess.Run(ctx, cfg.Insts)
+	if err != nil {
+		return Run{}, err
 	}
 	return Run{
 		Bench:  bench,
@@ -195,7 +129,6 @@ func SimulatePhasedContext(ctx context.Context, bench string, scheme core.Scheme
 		VDD:    vdd,
 		Stats:  st,
 		Energy: energy.Compute(energy.Default45nm(), &st),
-		Phases: phaseList,
 	}, nil
 }
 

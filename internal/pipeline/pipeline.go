@@ -234,15 +234,6 @@ func newPredictor(cfg Config) tep.Predictor {
 // Env exposes the operating environment (for tests/diagnostics).
 func (p *Pipeline) Env() *fault.Env { return p.env }
 
-// TEPStats exposes predictor activity counters (zero for non-table
-// predictors).
-func (p *Pipeline) TEPStats() tep.Stats {
-	if t, ok := p.tep.(*tep.TEP); ok {
-		return t.Stats
-	}
-	return tep.Stats{}
-}
-
 // Hierarchy exposes the cache hierarchy (diagnostics).
 func (p *Pipeline) Hierarchy() *mem.Hierarchy { return p.hier }
 

@@ -134,29 +134,3 @@ func (s *SweepRequest) Plan() (*campaign.Plan, error) {
 	}
 	return plan, nil
 }
-
-// Cells expands the sweep into per-cell run requests, in the deterministic
-// benchmark-major order Plan documents. It materializes every cell — clients
-// that only need the order one cell at a time should walk Plan().Cell(i)
-// instead.
-func (s *SweepRequest) Cells() ([]RunRequest, error) {
-	plan, err := s.Plan()
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]RunRequest, 0, plan.Total())
-	for i := 0; i < plan.Total(); i++ {
-		cfg := plan.Cell(i).Config
-		cells = append(cells, RunRequest{
-			Schema:       RunRequestSchema,
-			Benchmark:    cfg.Benchmark,
-			Scheme:       cfg.Scheme.String(),
-			VDD:          cfg.VDD,
-			Seed:         cfg.Seed,
-			Instructions: s.Instructions,
-			Warmup:       s.Warmup,
-			FaultBias:    s.FaultBias,
-		})
-	}
-	return cells, nil
-}

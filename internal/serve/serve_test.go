@@ -262,7 +262,7 @@ func TestSweepCellOrderGolden(t *testing.T) {
 		VDDs:       []float64{0.97, 1.04},
 		Seeds:      []uint64{2, 1},
 	}
-	cells, err := req.Cells()
+	plan, err := req.Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,10 +276,11 @@ func TestSweepCellOrderGolden(t *testing.T) {
 		"bzip2/EP/0.97/2", "bzip2/EP/0.97/1",
 		"bzip2/EP/1.04/2", "bzip2/EP/1.04/1",
 	}
-	if len(cells) != len(want) {
-		t.Fatalf("%d cells, want %d", len(cells), len(want))
+	if plan.Total() != len(want) {
+		t.Fatalf("%d cells, want %d", plan.Total(), len(want))
 	}
-	for i, c := range cells {
+	for i := range want {
+		c := plan.Cell(i).Config
 		got := fmt.Sprintf("%s/%s/%.2f/%d", c.Benchmark, c.Scheme, c.VDD, c.Seed)
 		if got != want[i] {
 			t.Fatalf("cell %d is %s, want %s — the sweep ordering contract is pinned; bump the sweep schema if you mean to change it", i, got, want[i])

@@ -35,7 +35,6 @@ import (
 	"tvsched/internal/lru"
 	"tvsched/internal/obs"
 	"tvsched/internal/pipeline"
-	"tvsched/internal/tep"
 	"tvsched/internal/workload"
 )
 
@@ -332,9 +331,6 @@ func (s *Session) Scheme() core.Scheme { return s.p.Scheme() }
 // Supervisor exposes the graceful-degradation supervisor (nil when
 // unsupervised).
 func (s *Session) Supervisor() *core.Supervisor { return s.p.Supervisor() }
-
-// TEPStats exposes predictor activity counters.
-func (s *Session) TEPStats() tep.Stats { return s.p.TEPStats() }
 
 // Env exposes the operating environment (diagnostics).
 func (s *Session) Env() *fault.Env { return s.p.Env() }

@@ -132,7 +132,6 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 type Reader struct {
 	r       *bufio.Reader
 	count   uint64 // declared count; 0 = unknown
-	read    uint64
 	prevPC  uint64
 	prevAdr uint64
 	prevTgt uint64
@@ -264,12 +263,8 @@ func (r *Reader) Read() (isa.Inst, error) {
 		r.err = err
 		return isa.Inst{}, err
 	}
-	r.read++
 	return cur, nil
 }
-
-// ReadCount returns records consumed so far.
-func (r *Reader) ReadCount() uint64 { return r.read }
 
 // Source adapts the reader into an infinite pipeline source: once the trace
 // is exhausted it loops from the recorded instructions held in its replay
