@@ -76,7 +76,7 @@ func main() {
 		noJournal = flag.Bool("no-journal", false, "run without a journal: nothing persists, nothing resumes")
 		dryRun    = flag.Bool("dry-run", false, "print the plan document (campaign-plan/v1) and exit without simulating")
 		workers   = flag.Int("workers", 0, "concurrent cell simulations (0 = GOMAXPROCS)")
-		storeDir  = flag.String("store", "", "persistent result store directory shared across campaigns (empty = none)")
+		storeDir  = flag.String("store", "", "persistent store directory for results and warm states, shared across campaigns (empty = none)")
 		progress  = flag.Bool("progress", false, "emit progress/v1 heartbeats on stderr")
 		heartbeat = flag.Duration("heartbeat", 2*time.Second, "heartbeat cadence with -progress")
 		summaryF  = flag.String("summary", "", "write the campaign-summary/v1 artifact here (empty = skip)")

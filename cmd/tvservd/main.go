@@ -37,7 +37,8 @@
 //
 // With -store DIR, results also persist in a disk-backed content-addressed
 // store that survives restarts: a restarted node answers its old digests
-// from disk (provenance "hit") without recomputing. With -node-id and
+// from disk (provenance "hit") without recomputing, and restores the warm
+// states kept there instead of warming donors again. With -node-id and
 // -peers, nodes form a static cluster routed by rendezvous hashing on the
 // config digest: any node accepts any request, a non-owner forwards to the
 // owner (cluster-wide singleflight), the owner reads through its peers
@@ -116,7 +117,7 @@ func main() {
 		pprofOn      = flag.Bool("pprof", false, "mount the Go profiler at /debug/pprof (off by default: it exposes internals)")
 		campaignDir  = flag.String("campaign-dir", "", "campaign journal directory; enables POST /v1/campaign and resume-on-restart (empty = disabled)")
 		maxCampCells = flag.Int("max-campaign-cells", 1<<20, "per-campaign cell cap (400 beyond it)")
-		storeDir     = flag.String("store", "", "persistent result store directory (empty = memory-only)")
+		storeDir     = flag.String("store", "", "persistent store directory for results and warm states (empty = memory-only)")
 		storeBytes   = flag.Int64("store-bytes", 0, "persistent store size bound in bytes (0 = 256 MiB default)")
 		nodeID       = flag.String("node-id", "", "this node's cluster identity (required with -peers)")
 		peersFlag    = flag.String("peers", "", "cluster peers as id=url,... (e.g. b=http://10.0.0.2:8844); empty = standalone")

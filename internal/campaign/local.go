@@ -21,20 +21,23 @@ type ReportFunc func(cfg tvsched.Config, res tvsched.Result) ([]byte, error)
 // cmd/tvplan — through the same resolver the serving layer configures
 // (internal/resolve): a result flight keyed by digest, then the optional
 // persistent store, then resolve.Simulate with a snapshot flight keyed by
-// WarmKey. Every group's first cell leads one donor warmup and every cell of
+// WarmKey over the same store. Every group's first cell leads one donor
+// warmup, or loads the group's warm state from the store, and every cell of
 // the group, the leader included, restores it ("restored"); a concurrent
 // duplicate joins the running lead ("shared"), a later one reuses its bytes
 // ("hit"), and so does a cell the store already holds. The runner drops a
 // group's snapshot once the last cell of the group that Execute runs has
 // finished (Cell.Group); sessions restored from it keep its bytes alive
-// while they live.
+// while they live, and the store keeps its record, so a campaign resumed or
+// extended over the same store restores the group without a donor.
 type LocalRunner struct {
 	// Checkpoint enables the warm-snapshot sharing tier; off, every cell
 	// warms up from scratch ("cold"). Results are byte-identical either way.
 	Checkpoint bool
-	// Store, when non-nil, persists result bytes by digest across runs. The
-	// caller owns its lifecycle. Note a store's bytes embed the producing
-	// tool's name, so tvplan stores and tvservd stores must not be mixed.
+	// Store, when non-nil, persists result bytes by digest, and with
+	// Checkpoint set warm states by WarmKey, across runs. The caller owns
+	// its lifecycle. Note a store's bytes embed the producing tool's name,
+	// so tvplan stores and tvservd stores must not be mixed.
 	Store *store.Store
 	// Render is the report renderer (required).
 	Render ReportFunc
@@ -83,7 +86,7 @@ func (r *LocalRunner) lead(ctx context.Context, cfg tvsched.Config, digest strin
 	if r.Checkpoint {
 		snaps = r.snaps
 	}
-	res, src, err := resolve.Simulate(ctx, cfg, snaps)
+	res, src, _, err := resolve.Simulate(ctx, cfg, snaps, r.Store)
 	if err != nil {
 		return nil, src, err
 	}

@@ -157,6 +157,46 @@ func TestLocalRunnerStoreHits(t *testing.T) {
 	sameReports(t, a, b)
 }
 
+// TestLocalRunnerExtendsOverStore: a campaign extended by a scheme over the
+// store of its first run restores every new cell from the warm states that
+// run left in the store, without a donor warmup, and reports the bytes a
+// storeless run of the extended campaign does.
+func TestLocalRunnerExtendsOverStore(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var first, second, ref phaseCounter
+	executeLocal(t, localPlan(t, true), &LocalRunner{Checkpoint: true, Store: st, Render: localRender}, &first)
+	on := true
+	extended, err := NewPlan(Spec{
+		Benchmarks:   []string{"bzip2", "sjeng"},
+		Schemes:      []string{"ABS", "FFS", "CDS"},
+		Seeds:        []uint64{1, 2},
+		Instructions: 2000,
+		Warmup:       2000,
+		Checkpoint:   &on,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := executeLocal(t, extended, &LocalRunner{Checkpoint: true, Store: st, Render: localRender}, &second)
+	if n := second.count("warmup_neutral"); n != 0 {
+		t.Fatalf("the extended campaign paid %d donor warmups, want 0", n)
+	}
+	for _, l := range got {
+		want := "hit"
+		if l.Scheme == "CDS" {
+			want = "restored"
+		}
+		if l.Cache != want {
+			t.Fatalf("cell %d (%s) is %q, want %q", l.Index, l.Scheme, l.Cache, want)
+		}
+	}
+	sameReports(t, executeLocal(t, extended, &LocalRunner{Checkpoint: true, Render: localRender}, &ref), got)
+}
+
 // TestLocalRunnerFailedSnapshotReleads: a snapshot production that fails is
 // not memoized, so a later cell of the same warm group leads it again and
 // restores.

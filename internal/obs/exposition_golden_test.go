@@ -83,6 +83,10 @@ func goldenSources() (*obs.Metrics, *obs.CPIStack, *obs.ServeMetrics, *span.Trac
 	sm.StoreOp(obs.StorePut)
 	sm.StoreOp(obs.StorePut)
 	sm.SetStoreSize(7, 4096)
+	sm.WarmState(obs.WarmMemo)
+	sm.WarmState(obs.WarmStore)
+	sm.WarmState(obs.WarmStore)
+	sm.WarmState(obs.WarmDonor)
 
 	tr := span.NewTracer(16)
 	root := tr.StartRoot("run", span.Context{})
@@ -94,7 +98,7 @@ func goldenSources() (*obs.Metrics, *obs.CPIStack, *obs.ServeMetrics, *span.Trac
 	return m, s, sm, tr
 }
 
-// TestExpositionGolden pins the exact exposition bytes of all 27 families:
+// TestExpositionGolden pins the exact exposition bytes of all 28 families:
 // the pipeline registry, the CPI stack, every serving family, and the span
 // durations, in that order.
 func TestExpositionGolden(t *testing.T) {
@@ -118,7 +122,7 @@ func TestExpositionGolden(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("exposition drifted from golden file (rerun with -update-golden if intended)\ngot:\n%s", buf.Bytes())
 	}
-	if n := bytes.Count(want, []byte("# TYPE ")); n != 27 {
-		t.Fatalf("golden holds %d families, want 27", n)
+	if n := bytes.Count(want, []byte("# TYPE ")); n != 28 {
+		t.Fatalf("golden holds %d families, want 28", n)
 	}
 }

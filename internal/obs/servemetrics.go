@@ -157,6 +157,30 @@ func (o StoreOp) String() string {
 	return storeOpNames[o]
 }
 
+// WarmSource classifies where a restored run's warm state came from.
+type WarmSource int
+
+// The warm-state sources: Memo is the in-memory snapshot memo, Store a
+// warm-state record in the persistent store, Donor a donor session's neutral
+// warmup. A run that joined another run's lead counts under that lead's
+// source.
+const (
+	WarmMemo WarmSource = iota
+	WarmStore
+	WarmDonor
+	NumWarmSources
+)
+
+var warmSourceNames = [NumWarmSources]string{"memo", "store", "donor"}
+
+// String returns the Prometheus label value for the warm-state source.
+func (w WarmSource) String() string {
+	if w < 0 || w >= NumWarmSources {
+		return "unknown"
+	}
+	return warmSourceNames[w]
+}
+
 // ServeMetrics is the serving-layer registry behind cmd/tvservd: request
 // outcomes (cache hit / singleflight share / miss / rejection / error),
 // queue-depth and in-flight gauges maintained by the server, log2 latency
@@ -178,6 +202,7 @@ type ServeMetrics struct {
 	storeOps     [NumStoreOps]uint64
 	storeEntries int64
 	storeBytes   int64
+	warmStates   [NumWarmSources]uint64
 
 	// Circuit-breaker telemetry, per peer: transition counts into each state
 	// and the current state (a label-valued gauge in the exposition).
@@ -321,6 +346,16 @@ func (s *ServeMetrics) SetStoreSize(entries int, bytes int64) {
 	s.mu.Unlock()
 }
 
+// WarmState records where one restored run's warm state came from.
+func (s *ServeMetrics) WarmState(src WarmSource) {
+	if src < 0 || src >= NumWarmSources {
+		return
+	}
+	s.mu.Lock()
+	s.warmStates[src]++
+	s.mu.Unlock()
+}
+
 // ServeSnapshot is a consistent copy of the registry.
 type ServeSnapshot struct {
 	Outcomes     [NumServeOutcomes]uint64
@@ -332,6 +367,8 @@ type ServeSnapshot struct {
 	StoreOps     [NumStoreOps]uint64
 	StoreEntries int64
 	StoreBytes   int64
+	// WarmStates counts restored runs by where their warm state came from.
+	WarmStates [NumWarmSources]uint64
 	// BreakerTransitions counts breaker state entries per peer, keyed
 	// peer → state name; BreakerStates is each peer's current state.
 	BreakerTransitions map[string]map[string]uint64
@@ -357,6 +394,7 @@ func (s *ServeMetrics) Snapshot() ServeSnapshot {
 		StoreOps:        s.storeOps,
 		StoreEntries:    s.storeEntries,
 		StoreBytes:      s.storeBytes,
+		WarmStates:      s.warmStates,
 		CampaignEvents:  s.campaignEvents,
 		CampaignsActive: s.campaignsActive,
 	}
@@ -389,10 +427,10 @@ func (s *ServeMetrics) Snapshot() ServeSnapshot {
 	return snap
 }
 
-// Families implements Source. The cluster, breaker, campaign and store
-// families are listed only once touched, and request latency only for the
-// route × outcome cells that hold samples, so a solo idle node stays
-// compact.
+// Families implements Source. The cluster, breaker, campaign, store and
+// warm-state families are listed only once touched, and request latency
+// only for the route × outcome cells that hold samples, so a solo idle
+// node stays compact.
 func (s *ServeMetrics) Families() []Family {
 	snap := s.Snapshot()
 	var lat []Member
@@ -462,9 +500,16 @@ func (s *ServeMetrics) Families() []Family {
 		fams = append(fams,
 			Family{"serve_store_ops_total", "Persistent result-store accesses (hit/miss/put).",
 				"counter", enumMembers[StoreOp]("op", snap.StoreOps[:])},
-			scalar("serve_store_entries", "Live entries in the persistent result store.", "gauge", snap.StoreEntries),
-			scalar("serve_store_bytes", "Live bytes in the persistent result store (record overhead included).",
-				"gauge", snap.StoreBytes))
+			scalar("serve_store_entries", "Live entries in the persistent result store, warm-state records included.",
+				"gauge", snap.StoreEntries),
+			scalar("serve_store_bytes", "Live bytes in the persistent result store, warm-state records and "+
+				"record overhead included.", "gauge", snap.StoreBytes))
+	}
+
+	if snap.WarmStates != ([NumWarmSources]uint64{}) {
+		fams = append(fams, Family{"serve_warm_states_total",
+			"Warm states restored runs used, by where they came from (memo/store/donor).",
+			"counter", enumMembers[WarmSource]("source", snap.WarmStates[:])})
 	}
 	return fams
 }

@@ -34,9 +34,9 @@ type Flight struct {
 	// under its own context. Otherwise the leader runs the lead inline,
 	// under its own context.
 	Detach bool
-	// OnLead, when non-nil, observes each finished lead's duration under
-	// the context the lead ran with.
-	OnLead func(ctx context.Context, d time.Duration)
+	// OnLead, when non-nil, observes each finished lead's source and
+	// duration under the context the lead ran with.
+	OnLead func(ctx context.Context, src Source, d time.Duration)
 
 	mu    sync.Mutex
 	calls map[string]*call
@@ -117,7 +117,7 @@ func (f *Flight) lead(ctx context.Context, key string, c *call, lead Lead) {
 	start := time.Now()
 	c.body, c.src, c.err = lead(ctx)
 	if f.OnLead != nil {
-		f.OnLead(ctx, time.Since(start))
+		f.OnLead(ctx, c.src, time.Since(start))
 	}
 	f.mu.Lock()
 	if c.err == nil && f.Memo != nil {

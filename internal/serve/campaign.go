@@ -24,6 +24,19 @@ import (
 // GET /v1/campaign/{id} answer with.
 const CampaignStatusSchema = "tvsched/campaign-status/v1"
 
+// ReportErrorSchema tags the terminal record of a campaign report cut short
+// by a journal record that failed its check. Cell lines never carry a
+// schema field, so the schema is the discriminator.
+const ReportErrorSchema = "tvsched/report-error/v1"
+
+// reportError is the record ReportErrorSchema tags: the index of the cell
+// whose journal record could not be read, and why.
+type reportError struct {
+	Schema string `json:"schema"`
+	Index  int    `json:"index"`
+	Error  string `json:"error"`
+}
+
 // errCampaignsDisabled reports a campaign request against a server started
 // without a campaign directory — there is nowhere to journal, so the resume
 // contract cannot be honoured.
@@ -341,25 +354,48 @@ func (s *Server) handleCampaignGet(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(c.status())
 	case "report":
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		flusher, _ := w.(http.Flusher)
-		total := c.plan.Total()
-		for i := 0; i < total; i++ {
-			_, line, ok, err := c.j.ReadLine(i)
-			if err != nil || !ok {
-				// The journal is a strict prefix of the report: the first
-				// missing cell ends what this run can serve so far.
-				return
-			}
-			if _, err := w.Write(append(line, '\n')); err != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
+		s.serveReport(w, r, id, c)
 	default:
 		s.fail(w, r, id, "", http.StatusNotFound,
 			fmt.Errorf("unknown campaign resource %q (want status or report)", sub))
+	}
+}
+
+// serveReport streams a campaign's journaled lines in cell order. The
+// journal is a strict prefix of the report: the first cell not yet
+// journaled ends what this run can serve so far. A record that fails its
+// check is a failed request, logged once: a 500 when no line has gone out
+// yet, else a terminal ReportErrorSchema record after the lines that did.
+func (s *Server) serveReport(w http.ResponseWriter, r *http.Request, id string, c *campaignRun) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	flusher, _ := w.(http.Flusher)
+	for i := 0; i < c.plan.Total(); i++ {
+		_, line, ok, err := c.j.ReadLine(i)
+		if err != nil {
+			s.sm.Outcome(obs.ServeErrored)
+			if i == 0 {
+				s.fail(w, r, id, "", http.StatusInternalServerError, err)
+				return
+			}
+			s.log.LogAttrs(r.Context(), slog.LevelError, "request failed",
+				slog.String("request_id", id),
+				slog.String("method", r.Method),
+				slog.String("path", r.URL.Path),
+				slog.Int("index", i),
+				slog.String("cause", err.Error()),
+			)
+			rec, _ := json.Marshal(reportError{Schema: ReportErrorSchema, Index: i, Error: err.Error()})
+			_, _ = w.Write(append(rec, '\n'))
+			return
+		}
+		if !ok {
+			return
+		}
+		if _, err := w.Write(append(line, '\n')); err != nil {
+			return
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
 	}
 }

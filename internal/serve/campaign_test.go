@@ -2,15 +2,20 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"tvsched/internal/campaign"
+	"tvsched/internal/obs"
 )
 
 // newHTTPServer fronts s without the newTestServer cleanups, for tests that
@@ -383,5 +388,113 @@ func TestSweepRequestPlansLazily(t *testing.T) {
 	})
 	if allocs > 200 {
 		t.Fatalf("planning a 1M-cell sweep cost %.0f allocations — the handler is eager again", allocs)
+	}
+}
+
+// journalRecords maps each cell index journaled in the .tvcj file at path to
+// the file offset of its record's payload. A frame is magic u32, payload
+// length u32, CRC-32 u32, then the payload; the first frame is the header.
+func journalRecords(t *testing.T, path string) map[int]int {
+	t.Helper()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloadAt := map[int]int{}
+	for off, first := 0, true; off+12 <= len(blob); first = false {
+		n := int(binary.BigEndian.Uint32(blob[off+4:]))
+		payload := blob[off+12 : off+12+n]
+		if !first {
+			var rec struct{ Index int }
+			if err := json.Unmarshal(payload, &rec); err != nil {
+				t.Fatalf("journal record at %d: %v", off, err)
+			}
+			payloadAt[rec.Index] = off + 12
+		}
+		off += 12 + n
+	}
+	return payloadAt
+}
+
+// TestCampaignReportSurfacesBadRecord runs a 4-cell campaign to done, then
+// flips one bit of a journal record under the open journal. The report must
+// not end short and silent, as it does for a cell not yet journaled: a bad
+// record after some lines ends the stream with a ReportErrorSchema record,
+// a bad first record answers 500, and each is one failed request with one
+// error log line.
+func TestCampaignReportSurfacesBadRecord(t *testing.T) {
+	h := &countingLogHandler{}
+	var runs atomic.Int64
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{
+		Workers:     1,
+		Runner:      stubRunner(&runs, nil),
+		CampaignDir: dir,
+		Logger:      slog.New(h),
+	})
+	spec := campaign.Spec{Benchmarks: []string{"bzip2"}, Schemes: []string{"ABS", "FFS"},
+		Seeds: []uint64{1, 2}, Instructions: 2000}
+	_, st := postCampaign(t, ts.URL, spec)
+	waitCampaignState(t, ts.URL, st.ID, "done")
+	full := campaignReport(t, ts.URL, st.ID)
+	lines := bytes.SplitAfter(full, []byte("\n"))
+	if len(lines) != 5 || len(lines[4]) != 0 {
+		t.Fatalf("intact report has %d lines, want 4:\n%s", len(lines)-1, full)
+	}
+
+	path := filepath.Join(dir, st.ID+".tvcj")
+	at := journalRecords(t, path)
+	flip := func(index int) {
+		t.Helper()
+		off, ok := at[index]
+		if !ok {
+			t.Fatalf("cell %d has no journal record", index)
+		}
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob[off+5] ^= 0x10
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	failed := func() uint64 { return s.Metrics().Snapshot().Outcomes[obs.ServeErrored] }
+
+	flip(2)
+	resp, err := http.Get(ts.URL + "/v1/campaign/" + st.ID + "/report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("report over a bad third record: status %d, want 200 and a terminal error record", resp.StatusCode)
+	}
+	prefix := bytes.Join(lines[:2], nil)
+	if !bytes.HasPrefix(body, prefix) {
+		t.Fatalf("report over a bad third record does not start with the first two lines:\n%s", body)
+	}
+	var rec reportError
+	if err := json.Unmarshal(body[len(prefix):], &rec); err != nil || rec.Schema != ReportErrorSchema ||
+		rec.Index != 2 || rec.Error == "" || !bytes.HasSuffix(body, []byte("\n")) {
+		t.Fatalf("report over a bad third record ends %q (%v), want one %s record for index 2",
+			body[len(prefix):], err, ReportErrorSchema)
+	}
+	if n, logs := failed(), len(h.errors()); n != 1 || logs != 1 {
+		t.Fatalf("after the cut report: %d failed requests, %d warn/error log records; want 1 and 1", n, logs)
+	}
+
+	flip(0)
+	resp, err = http.Get(ts.URL + "/v1/campaign/" + st.ID + "/report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("report over a bad first record: status %d, want 500", resp.StatusCode)
+	}
+	if n, logs := failed(), len(h.errors()); n != 2 || logs != 2 {
+		t.Fatalf("after the refused report: %d failed requests, %d warn/error log records; want 2 and 2", n, logs)
 	}
 }

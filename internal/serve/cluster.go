@@ -369,6 +369,8 @@ func (s *Server) AntiEntropySweep(ctx context.Context) (checked, diverged, repai
 
 // localDigests samples up to max digests this node holds, memory first
 // (hottest results are the likeliest to be replicated), then the store.
+// Only keys shaped like a config digest qualify: the store also holds warm
+// states, which are neither replicated nor served to peers.
 func (s *Server) localDigests(max int) []string {
 	keys := s.results.Memo.Keys()
 	seen := make(map[string]bool, len(keys))
@@ -385,7 +387,7 @@ func (s *Server) localDigests(max int) []string {
 			if len(out) >= max {
 				break
 			}
-			if !seen[k] {
+			if !seen[k] && validDigest(k) {
 				out = append(out, k)
 			}
 		}

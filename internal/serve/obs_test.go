@@ -349,8 +349,13 @@ func TestErrorPathsLogExactlyOnce(t *testing.T) {
 // TestServedCountersIgnoreCheckpointing serves the same four-cell sweep on
 // two fresh servers, one with warm-state checkpointing off and one with it
 // on. The checkpoint is a pure optimization of how a cell is computed, so
-// every counter series on /metrics must read the same on both.
+// every counter series on /metrics must read the same on both, except the
+// one family that counts where restored runs' warm states came from: it is
+// absent without checkpointing and names one donor and three memo hits with
+// it.
 func TestServedCountersIgnoreCheckpointing(t *testing.T) {
+	const warmStates = "tvservd_serve_warm_states_total"
+	var warmSeries [2]string
 	totals := func(checkpoint bool) string {
 		_, ts := newTestServer(t, Config{Workers: 1})
 		postSweep(t, ts.URL, SweepRequest{
@@ -373,7 +378,12 @@ func TestServedCountersIgnoreCheckpointing(t *testing.T) {
 			line := sc.Text()
 			name, _, _ := strings.Cut(line, " ")
 			name, _, _ = strings.Cut(name, "{")
-			if strings.HasSuffix(name, "_total") {
+			switch {
+			case name == warmStates && checkpoint:
+				warmSeries[1] += line + "\n"
+			case name == warmStates:
+				warmSeries[0] += line + "\n"
+			case strings.HasSuffix(name, "_total"):
 				out.WriteString(line + "\n")
 			}
 		}
@@ -388,5 +398,11 @@ func TestServedCountersIgnoreCheckpointing(t *testing.T) {
 	}
 	if cold != warm {
 		t.Fatalf("counters depend on checkpointing\ncold:\n%s\ncheckpointed:\n%s", cold, warm)
+	}
+	want := warmStates + `{source="memo"} 3` + "\n" + warmStates + `{source="store"} 0` + "\n" +
+		warmStates + `{source="donor"} 1` + "\n"
+	if warmSeries[0] != "" || warmSeries[1] != want {
+		t.Fatalf("warm-state series\ncold:\n%s\ncheckpointed:\n%s\nwant none cold and checkpointed:\n%s",
+			warmSeries[0], warmSeries[1], want)
 	}
 }

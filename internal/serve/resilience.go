@@ -196,8 +196,9 @@ func (s *Server) repairDivergence(ctx context.Context, digest string, local, rem
 		return false
 	}
 	// The oracle simulates afresh: neither the result cache nor the store
-	// may answer for the bytes under suspicion.
-	oracle, _, err := s.runLocal(digest, cfg, true, span.Context{})
+	// may answer for the bytes under suspicion, and it warms up cold, so
+	// no warm state the memo or the store keeps feeds it either.
+	oracle, _, err := s.runLocal(digest, cfg, false, span.Context{})
 	if err != nil {
 		s.log.LogAttrs(ctx, slog.LevelWarn, "repair re-simulation failed",
 			slog.String("digest", digest), slog.Int("status", s.statusOf(err)),

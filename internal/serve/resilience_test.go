@@ -9,14 +9,17 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"tvsched"
 	"tvsched/internal/cluster"
 	"tvsched/internal/obs"
 	"tvsched/internal/resil"
 	"tvsched/internal/resil/chaos"
+	"tvsched/internal/resolve"
 )
 
 // newResilCluster is newTestCluster with per-node config hooks, for tests
@@ -235,7 +238,13 @@ func TestBreakerRecoveryReplicatesOwed(t *testing.T) {
 		t.Fatal("replicated bytes differ from the degraded response")
 	}
 
+	// b holds the replica as soon as it has taken the push, a moment before
+	// a's Push returns and a counts it: wait for the count too.
 	snap := a.srv.Metrics().Snapshot()
+	for snap.PeerOps["b"][obs.PeerReplicated] == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		snap = a.srv.Metrics().Snapshot()
+	}
 	if ops := snap.PeerOps["b"]; ops[obs.PeerReplicated] == 0 {
 		t.Fatal("peer_ops replicated is 0 after an owed flush")
 	}
@@ -250,9 +259,20 @@ func TestBreakerRecoveryReplicatesOwed(t *testing.T) {
 
 // TestRepairSweepHealsDivergence corrupts both replicas of a digest whose
 // config node a recorded, and checks the -repair sweep re-simulates the
-// digest and overwrites both copies with the oracle bytes.
+// digest, warming up cold, and overwrites both copies with the oracle bytes.
 func TestRepairSweepHealsDivergence(t *testing.T) {
-	a, b := newResilCluster(t, func(c *Config) { c.Repair = true }, nil)
+	var mu sync.Mutex
+	var checkpoints []bool // node a's runs: may each restore a kept warm state?
+	a, b := newResilCluster(t, func(c *Config) {
+		c.Repair = true
+		run := c.Runner
+		c.Runner = func(ctx context.Context, cfg tvsched.Config, checkpoint bool) (tvsched.Result, resolve.Source, error) {
+			mu.Lock()
+			checkpoints = append(checkpoints, checkpoint)
+			mu.Unlock()
+			return run(ctx, cfg, checkpoint)
+		}
+	}, nil)
 	req := requestOwnedBy(t, "a")
 
 	resp, oracle := postRun(t, a.url, req)
@@ -290,6 +310,11 @@ func TestRepairSweepHealsDivergence(t *testing.T) {
 	}
 	if ops := a.srv.Metrics().Snapshot().PeerOps["b"]; ops[obs.PeerRepaired] != 1 {
 		t.Fatalf("peer_ops repaired %d, want 1", ops[obs.PeerRepaired])
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(checkpoints) != 2 || !checkpoints[0] || checkpoints[1] {
+		t.Fatalf("node a's runs took checkpoint %v, want [true false]: the oracle must warm up cold", checkpoints)
 	}
 }
 

@@ -39,7 +39,8 @@
 //
 //   - a persistent result store (Config.Store, internal/store) the LRU reads
 //     through and every computed result is written back to, so a restart
-//     serves its old answers from disk instead of recomputing them;
+//     serves its old answers from disk instead of recomputing them; the
+//     snapshot memo reads through it too, for warm states;
 //   - a cluster ring (SetPeers, internal/cluster) that assigns each digest
 //     an owning node by rendezvous hashing. Any node accepts any request; a
 //     non-owner forwards to the owner (cluster-wide singleflight), the owner
@@ -157,7 +158,10 @@ type Config struct {
 	MaxCampaignCells int
 	// Store, when non-nil, persists results (digest → response bytes) across
 	// restarts: LRU misses read through it and every computed or
-	// cluster-obtained result is written back. The caller owns the Store's
+	// cluster-obtained result is written back. It is also the level under
+	// the snapshot memo: a checkpointed run's warm state is read from and
+	// written to it under resolve.WarmStatePrefix + WarmKey, so a warm state
+	// outlives its memo entry and the process. The caller owns the Store's
 	// lifecycle (Open before New, Close after shutdown).
 	Store *store.Store
 	// PeerTimeout bounds one peer read-through fetch, anti-entropy fetch, or
@@ -334,8 +338,12 @@ func New(cfg Config) *Server {
 		results:    &resolve.Flight{Memo: lru.New[string, []byte](cfg.CacheEntries), Detach: true},
 		snaps: &resolve.Flight{
 			Memo: lru.New[string, []byte](cfg.SnapshotEntries),
-			OnLead: func(ctx context.Context, d time.Duration) {
-				span.FromContext(ctx).RecordChild("snapshot_produce", d)
+			OnLead: func(ctx context.Context, src resolve.Source, d time.Duration) {
+				name := "snapshot_produce"
+				if src == resolve.Store {
+					name = "snapshot_load"
+				}
+				span.FromContext(ctx).RecordChild(name, d)
 			},
 		},
 		breakers:  make(map[string]*resil.Breaker),
@@ -377,8 +385,9 @@ func (s *Server) Metrics() *obs.ServeMetrics { return s.sm }
 // defaultRunner executes the simulation for real through resolve.Simulate,
 // with no pipeline observer: each response carries the run's own counters.
 // With checkpoint set it restores the shared warm-state snapshot for the
-// cell's WarmKey (producing and caching it on first use) instead of
-// re-simulating the warmup phase; the neutral-warmup property makes the two
+// cell's WarmKey instead of re-simulating the warmup phase: from the
+// snapshot memo, else from the store's warm-state record, else from a donor
+// whose snapshot both then keep. The neutral-warmup property makes the
 // paths byte-identical (see Runner).
 func (s *Server) defaultRunner(ctx context.Context, cfg tvsched.Config, checkpoint bool) (tvsched.Result, resolve.Source, error) {
 	// The simulate span (if this computation is traced) receives one child
@@ -402,7 +411,20 @@ func (s *Server) defaultRunner(ctx context.Context, cfg tvsched.Config, checkpoi
 	if checkpoint {
 		snaps = s.snaps
 	}
-	return resolve.Simulate(ctx, cfg, snaps)
+	res, src, warm, err := resolve.Simulate(ctx, cfg, snaps, s.store)
+	if ws, ok := warmSources[warm]; ok {
+		s.sm.WarmState(ws)
+		span.FromContext(ctx).SetAttr("warm_source", ws.String())
+	}
+	return res, src, err
+}
+
+// warmSources names the warm-state sources resolve.Simulate reports for a
+// restored run in the serving metrics' vocabulary.
+var warmSources = map[resolve.Source]obs.WarmSource{
+	resolve.Memory: obs.WarmMemo,
+	resolve.Store:  obs.WarmStore,
+	resolve.Cold:   obs.WarmDonor,
 }
 
 // BeginDrain flips /readyz to 503 so load balancers stop routing here. Call

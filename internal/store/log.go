@@ -40,7 +40,7 @@ type Log struct {
 	f     *os.File
 	magic Magic
 	size  atomic.Int64
-	buf   []byte // Append's frame, reused so an append allocates nothing
+	buf   []byte // Append's small frames, reused so an append allocates nothing
 
 	// Truncated is the number of trailing bytes OpenLog cut.
 	Truncated int64
@@ -133,21 +133,53 @@ func (l *Log) parse(hdr []byte, remain int64) (n int, sum uint32, ok bool) {
 	return int(n64), binary.BigEndian.Uint32(hdr[8:12]), true
 }
 
-// Append writes payload as one frame at the end of the log, in one write,
-// and returns the frame's offset. It does not sync.
-func (l *Log) Append(payload []byte) (int64, error) {
-	if uint64(len(payload)) > math.MaxUint32 {
-		return 0, fmt.Errorf("log: payload of %d bytes does not fit a frame", len(payload))
+// maxScratch bounds the buffer Append reuses. A frame up to this size is
+// built in it and written in one write; the parts of a longer frame that do
+// not fit are written straight from the caller's slices, so the log never
+// keeps a copy of a large payload.
+const maxScratch = 8 << 10
+
+// Append writes the concatenation of parts as one frame at the end of the
+// log and returns the frame's offset. It does not sync. A frame longer than
+// maxScratch takes more than one write; a crash between them leaves a torn
+// frame, which OpenLog cuts like any other.
+func (l *Log) Append(parts ...[]byte) (int64, error) {
+	var n uint64
+	var sum uint32
+	for _, p := range parts {
+		n += uint64(len(p))
+		sum = crc32.Update(sum, crc32.IEEETable, p)
 	}
-	l.buf = binary.BigEndian.AppendUint32(l.buf[:0], uint32(l.magic))
-	l.buf = binary.BigEndian.AppendUint32(l.buf, uint32(len(payload)))
-	l.buf = binary.BigEndian.AppendUint32(l.buf, crc32.ChecksumIEEE(payload))
-	l.buf = append(l.buf, payload...)
+	if n > math.MaxUint32 {
+		return 0, fmt.Errorf("log: payload of %d bytes does not fit a frame", n)
+	}
+	if l.buf == nil {
+		l.buf = make([]byte, 0, maxScratch)
+	}
+	buf := binary.BigEndian.AppendUint32(l.buf[:0], uint32(l.magic))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
+	buf = binary.BigEndian.AppendUint32(buf, sum)
 	off := l.size.Load()
-	if _, err := l.f.WriteAt(l.buf, off); err != nil {
+	at := off
+	for _, p := range parts {
+		if len(buf)+len(p) <= cap(buf) {
+			buf = append(buf, p...)
+			continue
+		}
+		if _, err := l.f.WriteAt(buf, at); err != nil {
+			return 0, err
+		}
+		at += int64(len(buf))
+		buf = buf[:0]
+		if _, err := l.f.WriteAt(p, at); err != nil {
+			return 0, err
+		}
+		at += int64(len(p))
+	}
+	if _, err := l.f.WriteAt(buf, at); err != nil {
 		return 0, err
 	}
-	l.size.Store(off + int64(len(l.buf)))
+	l.size.Store(at + int64(len(buf)))
 	return off, nil
 }
 

@@ -66,7 +66,7 @@ type Store struct {
 	log      *Log
 	live     int64 // bytes of records the index still points at
 	index    *lru.LRU[string, entry]
-	rec      []byte // Put's record, reused across Puts
+	head     []byte // Put's digest length and digest, reused across Puts
 
 	// Truncated is the number of trailing bytes Open discarded as torn or
 	// corrupt. Read it once after Open (it is not updated afterwards).
@@ -180,10 +180,9 @@ func (s *Store) Put(digest string, body []byte) error {
 	if had && old.n == n {
 		return nil
 	}
-	s.rec = binary.BigEndian.AppendUint16(s.rec[:0], uint16(len(digest)))
-	s.rec = append(s.rec, digest...)
-	s.rec = append(s.rec, body...)
-	off, err := s.log.Append(s.rec)
+	s.head = binary.BigEndian.AppendUint16(s.head[:0], uint16(len(digest)))
+	s.head = append(s.head, digest...)
+	off, err := s.log.Append(s.head, body)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -34,6 +35,30 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if s.Len() != 1 {
 		t.Fatalf("len %d, want 1", s.Len())
+	}
+}
+
+// TestLargePutKeepsNoCopy pins that the store keeps no record-sized buffer:
+// after a 400 KB Put (a warm state's size class) and a read back, no byte
+// slice the Store or its Log holds for reuse is longer than maxScratch.
+func TestLargePutKeepsNoCopy(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), 0)
+	body := bytes.Repeat([]byte{0x5a, 0xa5}, 200<<10)
+	key := "warm-state/" + benchKey(1)
+	if err := s.Put(key, body); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := s.Get(key); err != nil || !ok || !bytes.Equal(got, body) {
+		t.Fatalf("get: %d bytes ok=%v err=%v, want the %d put", len(got), ok, err, len(body))
+	}
+	for _, v := range []reflect.Value{reflect.ValueOf(s).Elem(), reflect.ValueOf(s.log).Elem()} {
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			if f.Kind() == reflect.Slice && f.Type().Elem().Kind() == reflect.Uint8 && f.Cap() > maxScratch {
+				t.Errorf("%s.%s keeps %d bytes after the Put, want at most %d",
+					v.Type().Name(), v.Type().Field(i).Name, f.Cap(), maxScratch)
+			}
+		}
 	}
 }
 

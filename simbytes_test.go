@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -25,8 +26,14 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
-// simBytesGolden holds one "<name> <sha256>" line per pinned artifact.
+// simBytesGolden holds one "<name> <sha256>" line per pinned artifact,
+// after a first line naming the pipeline.SnapshotVersion it was written
+// under.
 var simBytesGolden = filepath.Join("testdata", "simbytes.golden")
+
+// versionLine is the name of the golden line that records the
+// pipeline.SnapshotVersion its snapshot/ lines were generated under.
+const versionLine = "snapshot-version"
 
 // simBytes is the run-report/v1, snapshot and event byte stream this file
 // pins.
@@ -74,31 +81,17 @@ func (d *simBytes) addSum(t *testing.T, name string, sum []byte) {
 func TestSimulatedBytesGolden(t *testing.T) {
 	got := collectSimBytes(t)
 	if *updateGolden {
-		var b bytes.Buffer
-		for _, n := range got.names {
-			fmt.Fprintf(&b, "%s %s\n", n, got.digests[n])
-		}
-		if err := os.WriteFile(simBytesGolden, b.Bytes(), 0o644); err != nil {
+		if err := rewriteGolden(simBytesGolden, got, pipeline.SnapshotVersion); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	f, err := os.Open(simBytesGolden)
+	want, err := readGolden(simBytesGolden)
 	if err != nil {
 		t.Fatalf("%v (rerun with -update-golden to regenerate)", err)
 	}
-	defer f.Close()
-	want := map[string]string{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		name, sum, ok := strings.Cut(sc.Text(), " ")
-		if !ok {
-			t.Fatalf("malformed golden line %q", sc.Text())
-		}
-		want[name] = sum
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+	if v := fmt.Sprint(pipeline.SnapshotVersion); want[versionLine] != v {
+		t.Errorf("golden written under SnapshotVersion %q, the code has %s", want[versionLine], v)
 	}
 	for _, n := range got.names {
 		switch w, ok := want[n]; {
@@ -108,8 +101,102 @@ func TestSimulatedBytesGolden(t *testing.T) {
 			t.Errorf("%s: simulated bytes drifted (sha256 %s, golden %s)", n, got.digests[n], w)
 		}
 	}
-	if len(want) != len(got.names) {
-		t.Errorf("golden file has %d entries, the test produced %d", len(want), len(got.names))
+	if len(want)-1 != len(got.names) {
+		t.Errorf("golden file has %d entries, the test produced %d", len(want)-1, len(got.names))
+	}
+}
+
+// readGolden parses a golden file's "<name> <value>" lines.
+func readGolden(path string) (map[string]string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	lines := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		name, value, ok := strings.Cut(sc.Text(), " ")
+		if !ok {
+			return nil, fmt.Errorf("%s: malformed golden line %q", path, sc.Text())
+		}
+		lines[name] = value
+	}
+	return lines, sc.Err()
+}
+
+// rewriteGolden writes got to the golden file at path under SnapshotVersion
+// version. It refuses, leaving the file as it was, when a snapshot/ line
+// would change while version still equals the version the file records (or
+// the file records none): warm states outlive the process in a result store
+// under a WarmKey that only the version distinguishes, so a binary whose
+// warmup behaves differently under an old version would restore another
+// model's warm state. DESIGN.md §13.3 requires the bump.
+func rewriteGolden(path string, got *simBytes, version uint32) error {
+	old, err := readGolden(path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	v := fmt.Sprint(version)
+	if rec, ok := old[versionLine]; !ok || rec == v {
+		for _, n := range got.names {
+			if w, ok := old[n]; ok && strings.HasPrefix(n, "snapshot/") && w != got.digests[n] {
+				return fmt.Errorf("%s: snapshot bytes changed under SnapshotVersion %s; "+
+					"bump pipeline.SnapshotVersion before regenerating the golden", n, v)
+			}
+		}
+	}
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%s %s\n", versionLine, v)
+	for _, n := range got.names {
+		fmt.Fprintf(&b, "%s %s\n", n, got.digests[n])
+	}
+	return os.WriteFile(path, b.Bytes(), 0o644)
+}
+
+// TestRewriteGoldenRefusesSilentSnapshotChange drives rewriteGolden over a
+// fabricated golden: a changed snapshot/ line under the recorded version is
+// refused and the file kept, other changed lines and a bumped version are
+// written.
+func TestRewriteGoldenRefusesSilentSnapshotChange(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "simbytes.golden")
+	old := "snapshot-version 7\nsnapshot/mcf aaaa\ncold/mcf/ABS bbbb\n"
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fabricate := func(snap, cold string) *simBytes {
+		return &simBytes{names: []string{"snapshot/mcf", "cold/mcf/ABS"},
+			digests: map[string]string{"snapshot/mcf": snap, "cold/mcf/ABS": cold}}
+	}
+	read := func() string {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	if err := rewriteGolden(path, fabricate("cccc", "bbbb"), 7); err == nil {
+		t.Fatal("a snapshot/ line changed under the recorded version and the rewrite went through")
+	}
+	if got := read(); got != old {
+		t.Fatalf("a refused rewrite changed the golden:\n%s", got)
+	}
+	if err := rewriteGolden(path, fabricate("aaaa", "dddd"), 7); err != nil {
+		t.Fatalf("a change outside snapshot/ was refused: %v", err)
+	}
+	if err := rewriteGolden(path, fabricate("cccc", "dddd"), 8); err != nil {
+		t.Fatalf("a snapshot/ change under a bumped version was refused: %v", err)
+	}
+	if got, want := read(), "snapshot-version 8\nsnapshot/mcf cccc\ncold/mcf/ABS dddd\n"; got != want {
+		t.Fatalf("rewritten golden:\n%s\nwant:\n%s", got, want)
+	}
+
+	if err := os.WriteFile(path, []byte("snapshot/mcf aaaa\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := rewriteGolden(path, fabricate("cccc", "dddd"), 8); err == nil {
+		t.Fatal("a golden that records no version let a snapshot/ line change")
 	}
 }
 
